@@ -13,7 +13,6 @@ from .core import (
     Item,
     RankedList,
     Taxonomy,
-    make_pair,
     normalize_text,
     pair_set_intersection_size,
     rank_scores,
@@ -34,7 +33,6 @@ from .gateway import (
     MockProvider,
     PromptTemplate,
     ScriptedProvider,
-    mock_provider,
     render_categorization_prompt,
     render_direct_recommendation_prompt,
     render_recommendation_prompt,
@@ -84,7 +82,6 @@ from .matchers import (
 from .baselines import (
     AverageEmbeddingRecommender,
     PopularityTable,
-    average_embedding_recommend,
     direct_llm_recommend,
     popularity_recommend,
 )

@@ -68,6 +68,21 @@ def split_values(value_text: str) -> list[str]:
     return [part for part in (p.strip() for p in value_text.split(",")) if part]
 
 
+def feature_lines(text: str) -> list[tuple[str, list[str]]]:
+    """``name: v1, v2`` lines as (name, values), in order of appearance.
+
+    This is the canonical taxonomy rendering. Lines without a colon, a name
+    or any value are skipped.
+    """
+    features: list[tuple[str, list[str]]] = []
+    for line in text.splitlines():
+        name, _, values_text = line.partition(":")
+        values = split_values(values_text)
+        if name.strip() and values:
+            features.append((name.strip(), values))
+    return features
+
+
 def extract_kv_pairs(text: str) -> list[tuple[str, str]]:
     """Key-value pairs from free text, in order of appearance.
 

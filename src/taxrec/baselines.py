@@ -1,7 +1,7 @@
 """Non-taxonomy recommenders for the comparison harness.
 
 Popularity and average-embedding baselines run locally; the direct LLM
-baseline reuses the recommendation pipeline with the taxonomy disabled.
+baseline reuses the taxonomy-free path of the recommendation pipeline.
 Pretrained-checkpoint baselines are consumed as external result files by
 the evaluation module instead.
 """
@@ -13,11 +13,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import gateway
-from .catalog import CategorizedPool, Interaction, ItemPool
+from .catalog import Interaction, ItemPool
 from .core import InteractionSequence, RankedList, rank_scores
 from .errors import TaxRecError
 from .matchers import Embedder
-from .recommender import Recommendation, RecommendConfig, recommend
+from .recommender import Recommendation, RecommendConfig, recommend_direct
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,6 @@ class AverageEmbeddingRecommender:
         return rank_scores(scores, k)
 
 
-def average_embedding_recommend(
-    embedder: Embedder, pool: ItemPool, history: InteractionSequence, k: int
-) -> RankedList:
-    """One-shot convenience wrapper around :class:`AverageEmbeddingRecommender`."""
-    return AverageEmbeddingRecommender(embedder, pool).recommend(history, k)
-
-
 def direct_llm_recommend(
     provider: gateway.Provider,
     history: InteractionSequence,
@@ -105,13 +98,5 @@ def direct_llm_recommend(
     unknown item id.
     """
     cfg = RecommendConfig(k=k, matcher=matcher, use_taxonomy=False)
-    shim = CategorizedPool(taxonomy_ref=("", 0), entries={}, coverage=0.0, pool=pool)
-    return recommend(
-        provider,
-        history,
-        shim,
-        t=None,
-        cfg=cfg,
-        domain_label=domain_label or pool.domain_label,
-        embedder=embedder,
-    )
+    domain = domain_label or pool.domain_label or "item"
+    return recommend_direct(provider, history, pool, cfg, domain, embedder)

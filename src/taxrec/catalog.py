@@ -14,16 +14,13 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from . import gateway
 from ._textparse import extract_pairs
 from .core import CategorizedItem, FeaturePair, Item, Taxonomy, normalize_text
 from .errors import ParseError, TaxRecError
 from .taxonomy import taxonomy_fingerprint, taxonomy_to_prompt_text
-
-# Appended on the single re-ask after an unparseable categorization.
-_FORMAT_REMINDER = "Respond with one 'feature: value' line per feature of the taxonomy."
 
 _MALFORMED_LINE_LIMIT = 0.01
 
@@ -241,11 +238,15 @@ def item_prompt_text(item: Item) -> str:
     return item.title
 
 
-def _parse_pairs(text: str, taxonomy: Taxonomy, stats: CategorizeStats | None) -> frozenset[FeaturePair]:
-    raw_pairs = extract_pairs(text)
-    allowed = set(taxonomy.feature_names)
+def filter_pairs(
+    text: str, allowed: Collection[str], stats: CategorizeStats | None = None
+) -> frozenset[FeaturePair]:
+    """Normalized feature pairs in ``text`` whose key is in ``allowed``.
+
+    Pairs with another key are dropped and counted in ``stats``.
+    """
     kept: set[FeaturePair] = set()
-    for raw_key, raw_value in raw_pairs:
+    for raw_key, raw_value in extract_pairs(text):
         key = normalize_text(raw_key)
         value = normalize_text(raw_value)
         if not key or not value:
@@ -270,20 +271,21 @@ def _categorize_with_raw(
     prompt = gateway.render_categorization_prompt(
         domain, taxonomy_to_prompt_text(taxonomy), item_prompt_text(item)
     )
-    response = provider.complete(gateway.LlmRequest(prompt=prompt, max_output_tokens=max_output_tokens))
-    pairs = _parse_pairs(response.text, taxonomy, stats)
-    if not pairs:
-        if stats is not None:
-            stats.count_reask()
-        response = provider.complete(
-            gateway.LlmRequest(prompt=f"{prompt}\n\n{_FORMAT_REMINDER}", max_output_tokens=max_output_tokens)
-        )
-        pairs = _parse_pairs(response.text, taxonomy, stats)
+    allowed = set(taxonomy.feature_names)
+    attempts = 0
+
+    def parse(text: str) -> tuple[CategorizedItem, str]:
+        nonlocal attempts
+        attempts += 1
+        pairs = filter_pairs(text, allowed, stats)
         if not pairs:
-            raise ParseError(
-                f"no feature pairs parsed for item {item.id!r}", raw_text=response.text
-            )
-    return CategorizedItem(item=item, pairs=pairs), response.text
+            if attempts == 1 and stats is not None:
+                stats.count_reask()
+            raise ParseError(f"no feature pairs parsed for item {item.id!r}", raw_text=text)
+        return CategorizedItem(item=item, pairs=pairs), text
+
+    request = gateway.LlmRequest(prompt=prompt, max_output_tokens=max_output_tokens)
+    return gateway.ask(provider, request, parse, reminder=gateway.LINE_REMINDER)
 
 
 def categorize_item(

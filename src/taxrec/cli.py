@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,42 +18,6 @@ from typing import Mapping, Sequence
 from . import baselines, catalog, evaluation, gateway, matchers, recommender, synthetic, taxonomy
 from .core import InteractionSequence, Item
 from .errors import TaxRecError
-
-_DEFAULTS: dict[str, object] = {
-    "provider": "mock",
-    "mock_seed": 0,
-    "model": "default",
-    "base_url": "",
-    "api_key": "",
-    "embed_base_url": "",
-    "cache_dir": ".taxrec-cache",
-    "dataset": "synthetic",
-    "data_dir": "",
-    "domain": "",
-    "n_items": 240,
-    "n_users": 80,
-    "per_user": 25,
-    "concentration": 0.8,
-    "k": 10,
-    "feature_count": 10,
-    "matcher": "taxonomy",
-    "history_titles": True,
-    "rec_titles": False,
-    "no_taxonomy": False,
-    "n": 200,
-    "seed": 0,
-    "repeats": 3,
-    "ks": "1,5,10",
-    "methods": "taxrec,direct,popularity",
-    "sweep": "",
-    "values": "",
-    "external": "",
-    "out": "",
-    "label": "",
-    "verbose": False,
-    "max_workers": 4,
-    "max_in_flight": 4,
-}
 
 _ENV_KEYS = {
     "TAXREC_LLM_BASE_URL": "base_url",
@@ -82,41 +46,45 @@ _DEFAULT_SWEEP_VALUES = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one invocation."""
+    """Fully resolved settings for one invocation.
 
-    provider: str
-    mock_seed: int
-    model: str
-    base_url: str
-    api_key: str
-    embed_base_url: str
-    cache_dir: str
-    dataset: str
-    data_dir: str
-    domain: str
-    n_items: int
-    n_users: int
-    per_user: int
-    concentration: float
-    k: int
-    feature_count: int
-    matcher: str
-    history_titles: bool
-    rec_titles: bool
-    no_taxonomy: bool
-    n: int
-    seed: int
-    repeats: int
-    ks: str
-    methods: str
-    sweep: str
-    values: str
-    external: str
-    out: str
-    label: str
-    verbose: bool
-    max_workers: int
-    max_in_flight: int
+    The field defaults are the defaults of every flag, and a config file
+    may set exactly these fields.
+    """
+
+    provider: str = "mock"
+    mock_seed: int = 0
+    model: str = "default"
+    base_url: str = ""
+    api_key: str = ""
+    embed_base_url: str = ""
+    cache_dir: str = ".taxrec-cache"
+    dataset: str = "synthetic"
+    data_dir: str = ""
+    domain: str = ""
+    n_items: int = 240
+    n_users: int = 80
+    per_user: int = 25
+    concentration: float = 0.8
+    k: int = 10
+    feature_count: int = 10
+    matcher: str = "taxonomy"
+    history_titles: bool = True
+    rec_titles: bool = False
+    no_taxonomy: bool = False
+    n: int = 200
+    seed: int = 0
+    repeats: int = 3
+    ks: str = "1,5,10"
+    methods: str = "taxrec,direct,popularity"
+    sweep: str = ""
+    values: str = ""
+    external: str = ""
+    out: str = ""
+    label: str = ""
+    verbose: bool = False
+    max_workers: int = 4
+    max_in_flight: int = 4
 
     def provenance(self) -> dict:
         """Everything that shaped the run except output location and secrets."""
@@ -134,12 +102,12 @@ class RunConfig:
 
 def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = None) -> RunConfig:
     env = os.environ if env is None else env
-    resolved = dict(_DEFAULTS)
+    resolved = {f.name: f.default for f in fields(RunConfig)}
 
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(resolved)
         if unknown:
             raise TaxRecError(f"unknown config file keys: {sorted(unknown)}")
         resolved.update(file_values)
@@ -148,7 +116,7 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
         if env.get(env_key):
             resolved[field_name] = env[env_key]
 
-    for field_name in _DEFAULTS:
+    for field_name in resolved:
         flag_value = getattr(args, field_name, None)
         if flag_value is not None:
             resolved[field_name] = flag_value

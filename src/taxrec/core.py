@@ -91,11 +91,6 @@ class FeaturePair:
             raise ValueError("feature pair key and value must be non-empty")
 
 
-def make_pair(key: str, value: str) -> FeaturePair:
-    """Build a FeaturePair, normalizing both sides."""
-    return FeaturePair(normalize_text(key), normalize_text(value))
-
-
 @dataclass(frozen=True)
 class CategorizedItem:
     """An item plus the feature pairs assigned to it by the categorizer."""

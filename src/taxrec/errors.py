@@ -1,6 +1,9 @@
 """Exception hierarchy shared across the pipeline."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class TaxRecError(Exception):
     """Base class for all package errors."""
@@ -40,3 +43,18 @@ class StageError(TaxRecError):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Raise any failure inside the block as ``StageError(name, cause)``.
+
+    A ``StageError`` raised by an inner stage passes through unwrapped, so
+    the innermost stage names the failure.
+    """
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc

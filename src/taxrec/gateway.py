@@ -8,15 +8,18 @@ for a real model in tests and desk-scale experiments.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
-from .errors import AuthError, ContentError, NetworkError
-from ._textparse import split_values
+from .errors import AuthError, ContentError, NetworkError, ParseError
+from ._textparse import feature_lines
+
+T = TypeVar("T")
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 _SLOT_RE = re.compile(r"\{(\w+)\}")
@@ -29,6 +32,13 @@ HISTORY_HEADER = "History:"
 
 # Separator between a history item's title and its feature list.
 TITLE_SEPARATOR = " — "
+
+# Appended to the prompt on the single re-ask after a parse failure: the
+# taxonomy is asked for as JSON, item categories and recommendations as lines.
+JSON_REMINDER = (
+    "Respond with only a JSON object that maps each feature name to an array of values."
+)
+LINE_REMINDER = "Respond with one 'feature: value' line per feature of the taxonomy."
 
 
 @dataclass(frozen=True)
@@ -156,13 +166,31 @@ class Provider(Protocol):
     def complete(self, request: LlmRequest) -> LlmResponse: ...
 
 
+def ask(
+    provider: Provider, request: LlmRequest, parse: Callable[[str], T], *, reminder: str
+) -> T:
+    """Complete ``request`` and return ``parse`` of the reply text.
+
+    If ``parse`` raises :class:`ParseError`, the request is sent once more
+    with ``reminder`` appended to the prompt (other fields kept); a second
+    :class:`ParseError` propagates.
+    """
+    text = provider.complete(request).text
+    try:
+        return parse(text)
+    except ParseError:
+        retry = replace(request, prompt=f"{request.prompt}\n\n{reminder}")
+        return parse(provider.complete(retry).text)
+
+
 class HttpChatProvider:
     """Chat-completion over HTTP+JSON, OpenAI-wire-compatible.
 
     POSTs ``{model, messages, temperature, max_tokens}`` to
     ``<base_url>/chat/completions`` and reads the first choice's message
-    content. Transient failures (network errors, 5xx) are retried with
-    exponential backoff up to ``max_attempts``; 4xx-class failures are
+    content. Transient failures (network errors, 5xx, and 408/429) are
+    retried up to ``max_attempts`` with exponential backoff, or after the
+    ``Retry-After`` seconds a 408/429 response gives; other 4xx failures are
     surfaced immediately. An internal semaphore caps in-flight requests.
     """
 
@@ -226,9 +254,12 @@ class HttpChatProvider:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                self._sleep(self.backoff_base * (2 ** (attempt - 1)))
+                backoff = self.backoff_base * (2 ** (attempt - 1))
+                self._sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
             try:
                 response = self._session.post(
                     f"{self.base_url}/chat/completions",
@@ -242,6 +273,10 @@ class HttpChatProvider:
             status = response.status_code
             if status in (401, 403):
                 raise AuthError(f"provider rejected credentials (HTTP {status})")
+            if status in (408, 429):
+                retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
+                last_error = NetworkError(f"provider asked to retry (HTTP {status})")
+                continue
             if 400 <= status < 500:
                 raise ContentError(f"provider rejected request (HTTP {status}): {response.text[:200]}")
             if status >= 500:
@@ -261,6 +296,15 @@ class HttpChatProvider:
         if "prompt_tokens" in usage_obj and "completion_tokens" in usage_obj:
             usage = (int(usage_obj["prompt_tokens"]), int(usage_obj["completion_tokens"]))
         return LlmResponse(text=text, usage=usage, provider_meta={"model": data.get("model", self.model_name)})
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` header given in seconds; None if absent or a date."""
+    try:
+        seconds = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
 class ScriptedProvider:
@@ -369,18 +413,6 @@ class MockProvider:
         text = "\n".join(collected).strip()
         return text or None
 
-    @staticmethod
-    def _parse_taxonomy_lines(taxonomy_text: str) -> list[tuple[str, list[str]]]:
-        features: list[tuple[str, list[str]]] = []
-        for line in taxonomy_text.splitlines():
-            if ":" not in line:
-                continue
-            name, _, values_text = line.partition(":")
-            values = split_values(values_text)
-            if name.strip() and values:
-                features.append((name.strip(), values))
-        return features
-
     # -- categorization -----------------------------------------------
 
     def _categorization_response(self, prompt: str) -> str:
@@ -389,7 +421,7 @@ class MockProvider:
         if not taxonomy_text or not item_text:
             raise ContentError("categorization prompt missing taxonomy or item section")
         lines = []
-        for name, values in self._parse_taxonomy_lines(taxonomy_text):
+        for name, values in feature_lines(taxonomy_text):
             choice = values[_stable_int(self.seed, item_text, name) % len(values)]
             lines.append(f"{name}: {choice}")
         if not lines:
@@ -423,7 +455,7 @@ class MockProvider:
             raise ContentError("recommendation prompt missing taxonomy or history section")
         votes = self._history_votes(history_text)
         lines = []
-        for name, values in self._parse_taxonomy_lines(taxonomy_text):
+        for name, values in feature_lines(taxonomy_text):
             cast = votes.get(name, [])
             if not cast:
                 continue
@@ -468,7 +500,3 @@ class MockProvider:
         usage = (len(prompt.split()), len(text.split()))
         return LlmResponse(text=text, usage=usage, provider_meta={"provider": "mock", "seed": self.seed})
 
-
-def mock_provider(seed: int = 0) -> MockProvider:
-    """Deterministic provider for tests and desk-scale experiments."""
-    return MockProvider(seed)

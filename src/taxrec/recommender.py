@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from . import gateway
-from ._textparse import extract_pairs, iter_content_lines
-from .catalog import CategorizedPool, ItemPool
+from ._textparse import iter_content_lines
+from .catalog import CategorizedPool, ItemPool, filter_pairs
 from .core import (
     CategorizedItem,
     FeaturePair,
@@ -25,14 +25,12 @@ from .core import (
     pair_set_intersection_size,
     rank_scores,
 )
-from .errors import ParseError, StageError, TaxRecError
+from .errors import ParseError, TaxRecError, stage
 from .matchers import Embedder, MATCHER_METHODS, score_titles_against_text
 from .taxonomy import taxonomy_to_prompt_text, truncate_features
 
 # Reserved key for title lines when recommendations carry titles.
 TITLE_KEY = "title"
-
-_FORMAT_REMINDER = "Respond with one 'feature: value' line per feature of the taxonomy."
 
 
 @dataclass(frozen=True)
@@ -128,16 +126,10 @@ def parse_feature_output(s: str, t: Taxonomy, cfg: RecommendConfig) -> FeatureSe
     titles, colon-free lines become pairs under the reserved ``title`` key.
     The raw text is preserved verbatim.
     """
-    raw_pairs = extract_pairs(s)
     allowed = set(t.feature_names)
-    pairs: set[FeaturePair] = set()
-    for raw_key, raw_value in raw_pairs:
-        key = normalize_text(raw_key)
-        value = normalize_text(raw_value)
-        if not key or not value:
-            continue
-        if key in allowed or (cfg.recommend_with_titles and key == TITLE_KEY):
-            pairs.add(FeaturePair(key, value))
+    if cfg.recommend_with_titles:
+        allowed.add(TITLE_KEY)
+    pairs = set(filter_pairs(s, allowed))
     if cfg.recommend_with_titles:
         for line in iter_content_lines(s):
             if ":" in line:
@@ -248,47 +240,47 @@ def recommend(
     domain = domain_label or pool.pool.domain_label or "item"
 
     if not cfg.use_taxonomy:
-        return _recommend_direct(provider, sequence, pool, cfg, domain, embedder)
-    if t is None:
-        raise StageError("truncate_taxonomy", ValueError("taxonomy required when use_taxonomy is on"))
+        return recommend_direct(provider, sequence, pool.pool, cfg, domain, embedder)
 
-    try:
+    with stage("truncate_taxonomy"):
+        if t is None:
+            raise ValueError("taxonomy required when use_taxonomy is on")
         truncated = truncate_features(t, cfg.taxonomy_feature_count)
-    except Exception as exc:
-        raise StageError("truncate_taxonomy", exc)
-    try:
+    with stage("categorize_history"):
         hc = categorize_history(sequence.history, pool)
-    except Exception as exc:
-        raise StageError("categorize_history", exc)
-    try:
+    with stage("render_prompt"):
         history_text = history_to_prompt_text(hc, cfg, truncated)
         prompt = gateway.render_recommendation_prompt(
             domain, taxonomy_to_prompt_text(truncated), history_text, cfg.k
         )
-    except Exception as exc:
-        raise StageError("render_prompt", exc)
-    try:
-        response = provider.complete(gateway.LlmRequest(prompt=prompt))
-    except Exception as exc:
-        raise StageError("complete", exc)
 
-    feature_set: FeatureSet
-    try:
-        feature_set = parse_feature_output(response.text, truncated, cfg)
-    except ParseError as exc:
-        if cfg.matcher != "taxonomy":
-            feature_set = FeatureSet(pairs=frozenset(), raw_text=response.text)
-        else:
-            # One re-ask with a format reminder, then surface the failure.
-            try:
-                response = provider.complete(
-                    gateway.LlmRequest(prompt=f"{prompt}\n\n{_FORMAT_REMINDER}")
-                )
-                feature_set = parse_feature_output(response.text, truncated, cfg)
-            except Exception as retry_exc:
-                raise StageError("parse_output", retry_exc) from exc
+    answered = False
 
-    try:
+    def parse(text: str) -> FeatureSet:
+        nonlocal answered
+        answered = True
+        try:
+            return parse_feature_output(text, truncated, cfg)
+        except ParseError:
+            if cfg.matcher == "taxonomy":
+                raise
+            # Free-text matchers rank the raw text; no feature set is needed.
+            return FeatureSet(pairs=frozenset(), raw_text=text)
+
+    # A failure before any reply is the provider's; once a reply came back,
+    # a failed parse or re-ask belongs to parsing.
+    with stage("complete"):
+        try:
+            feature_set = gateway.ask(
+                provider, gateway.LlmRequest(prompt=prompt), parse, reminder=gateway.LINE_REMINDER
+            )
+        except Exception:
+            if not answered:
+                raise
+            with stage("parse_output"):
+                raise
+
+    with stage("match"):
         if cfg.matcher == "taxonomy":
             if index is not None and index.include_titles != cfg.recommend_with_titles:
                 raise ValueError("prebuilt index does not match the title-matching setting")
@@ -296,37 +288,30 @@ def recommend(
                 feature_set, pool, index=index, include_titles=cfg.recommend_with_titles
             )
         else:
-            scores = match_freeform(response.text, pool.pool, cfg.matcher, embedder)
-    except Exception as exc:
-        raise StageError("match", exc)
+            scores = match_freeform(feature_set.raw_text, pool.pool, cfg.matcher, embedder)
     ranked = rank_scores(scores, cfg.k)
     return Recommendation(
-        ranked=ranked, feature_set=feature_set, prompt_text=prompt, raw_output=response.text
+        ranked=ranked, feature_set=feature_set, prompt_text=prompt, raw_output=feature_set.raw_text
     )
 
 
-def _recommend_direct(
+def recommend_direct(
     provider: gateway.Provider,
     sequence: InteractionSequence,
-    pool: CategorizedPool,
+    pool: ItemPool,
     cfg: RecommendConfig,
     domain: str,
     embedder: Embedder | None,
 ) -> Recommendation:
-    try:
+    """The taxonomy-free path: raw history titles in, free-text matching out."""
+    with stage("render_prompt"):
         prompt = gateway.render_direct_recommendation_prompt(
             domain, _direct_history_text(sequence.history), cfg.k
         )
-    except Exception as exc:
-        raise StageError("render_prompt", exc)
-    try:
+    with stage("complete"):
         response = provider.complete(gateway.LlmRequest(prompt=prompt))
-    except Exception as exc:
-        raise StageError("complete", exc)
-    try:
-        scores = match_freeform(response.text, pool.pool, cfg.matcher, embedder)
-    except Exception as exc:
-        raise StageError("match", exc)
+    with stage("match"):
+        scores = match_freeform(response.text, pool, cfg.matcher, embedder)
     ranked = rank_scores(scores, cfg.k)
     return Recommendation(
         ranked=ranked,

@@ -13,14 +13,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import gateway
-from ._textparse import extract_json_object, split_values
+from ._textparse import extract_json_object, feature_lines, split_values
 from .core import Feature, Taxonomy, normalize_text
 from .errors import ParseError
-
-# Appended to the prompt on the single automatic re-ask after a parse failure.
-_FORMAT_REMINDER = (
-    "Respond with only a JSON object that maps each feature name to an array of values."
-)
 
 _generation_locks: dict[str, threading.Lock] = {}
 _locks_guard = threading.Lock()
@@ -88,18 +83,6 @@ def _features_from_feature_list(entries: list) -> list[tuple[str, list[str]]]:
     return features
 
 
-def _features_from_lines(text: str) -> list[tuple[str, list[str]]]:
-    features: list[tuple[str, list[str]]] = []
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        name, _, values_text = line.partition(":")
-        values = split_values(values_text)
-        if name.strip() and values:
-            features.append((name.strip(), values))
-    return features
-
-
 def parse_taxonomy(text: str, domain_label: str = "") -> Taxonomy:
     """Extract a Taxonomy from provider output.
 
@@ -112,7 +95,7 @@ def parse_taxonomy(text: str, domain_label: str = "") -> Taxonomy:
     obj = extract_json_object(text)
     raw_features = _features_from_json(obj) if obj is not None else []
     if not raw_features:
-        raw_features = _features_from_lines(text)
+        raw_features = feature_lines(text)
     if not raw_features:
         raise ParseError("no structured taxonomy found in provider output", raw_text=text)
 
@@ -209,38 +192,38 @@ def generate_taxonomy(
 ) -> TaxonomyDocument:
     """Generate (or load) the one-time taxonomy for a domain.
 
-    Renders the generation prompt, calls the provider, parses the output
-    (one automatic re-ask with a format reminder on parse failure), and
-    persists the document before returning. Concurrent calls for the same
-    domain are single-flight; the loser returns the winner's document.
+    Renders the generation prompt, asks the provider through
+    :func:`gateway.ask` (one re-ask with a format reminder on parse
+    failure), and persists the document before returning. A cached document
+    is reused only if its provider fingerprint matches ``provider``;
+    otherwise it is regenerated and overwritten. Concurrent calls for the
+    same domain are single-flight; the loser returns the winner's document.
     """
     if not domain_label:
         raise ValueError("domain_label must be non-empty")
     with _locks_guard:
         lock = _generation_locks.setdefault(domain_label, threading.Lock())
+    fingerprint = (provider.model_name, gateway.template_hash("taxonomy_generation"))
     with lock:
         if cache_dir is not None and not force:
             cached = load_taxonomy(cache_dir, domain_label)
-            if cached is not None:
+            if cached is not None and cached.provider_fingerprint == fingerprint:
                 return cached
 
-        prompt = gateway.render_taxonomy_prompt(domain_label)
-        request = gateway.LlmRequest(prompt=prompt, max_output_tokens=max_output_tokens)
-        response = provider.complete(request)
-        try:
-            taxonomy = parse_taxonomy(response.text, domain_label)
-        except ParseError:
-            retry_prompt = f"{prompt}\n\n{_FORMAT_REMINDER}"
-            response = provider.complete(
-                gateway.LlmRequest(prompt=retry_prompt, max_output_tokens=max_output_tokens)
-            )
-            taxonomy = parse_taxonomy(response.text, domain_label)
-
+        request = gateway.LlmRequest(
+            prompt=gateway.render_taxonomy_prompt(domain_label), max_output_tokens=max_output_tokens
+        )
+        taxonomy, source_text = gateway.ask(
+            provider,
+            request,
+            lambda text: (parse_taxonomy(text, domain_label), text),
+            reminder=gateway.JSON_REMINDER,
+        )
         doc = TaxonomyDocument(
             taxonomy=taxonomy,
-            source_text=response.text,
+            source_text=source_text,
             created_at=datetime.now(timezone.utc).isoformat(),
-            provider_fingerprint=(provider.model_name, gateway.template_hash("taxonomy_generation")),
+            provider_fingerprint=fingerprint,
         )
         if cache_dir is not None:
             store_taxonomy(doc, cache_dir)

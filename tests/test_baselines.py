@@ -9,7 +9,6 @@ import pytest
 from taxrec.baselines import (
     AverageEmbeddingRecommender,
     PopularityTable,
-    average_embedding_recommend,
     direct_llm_recommend,
     popularity_recommend,
 )
@@ -89,7 +88,7 @@ class TestAverageEmbedding:
             items=tuple(Item(id=i, title=t) for i, t in titles.items()),
         )
         sequence = _sequence(["h1", "h2"], "x", titles)
-        ranked = average_embedding_recommend(OneHotEmbedder(coords), pool, sequence, k=2)
+        ranked = AverageEmbeddingRecommender(OneHotEmbedder(coords), pool).recommend(sequence, k=2)
         assert ranked.item_ids[0] == "x"
 
     def test_exact_duplicate_ranks_first(self):
@@ -100,7 +99,7 @@ class TestAverageEmbedding:
             items=tuple(Item(id=i, title=t) for i, t in titles.items()),
         )
         sequence = _sequence(["h1"], "other", titles)
-        ranked = average_embedding_recommend(OneHotEmbedder(coords), pool, sequence, k=2)
+        ranked = AverageEmbeddingRecommender(OneHotEmbedder(coords), pool).recommend(sequence, k=2)
         assert ranked.item_ids[0] == "dup"
 
     def test_empty_history_rejected(self):

@@ -18,7 +18,7 @@ from taxrec.catalog import (
 )
 from taxrec.core import FeaturePair, Item
 from taxrec.errors import ParseError, TaxRecError
-from taxrec.gateway import ScriptedProvider
+from taxrec.gateway import LINE_REMINDER, ScriptedProvider
 from taxrec.taxonomy import truncate_features
 
 from conftest import CountingProvider, FailAfterProvider
@@ -201,6 +201,8 @@ class TestCategorizeItem:
         assert categorized.pairs == frozenset({FeaturePair("genre", "fiction")})
         assert len(provider.calls) == 2
         assert "feature: value" in provider.calls[1].prompt
+        assert provider.calls[1].prompt.endswith(LINE_REMINDER)
+        assert provider.calls[1].max_output_tokens == provider.calls[0].max_output_tokens == 512
 
     def test_reask_failure_is_parse_error(self, small_taxonomy):
         provider = ScriptedProvider(["nothing", "still nothing"])

@@ -16,7 +16,6 @@ from taxrec.gateway import (
     MockProvider,
     ScriptedProvider,
     load_template,
-    mock_provider,
     render_categorization_prompt,
     render_direct_recommendation_prompt,
     render_recommendation_prompt,
@@ -80,17 +79,20 @@ class TestPromptRendering:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, body: dict | None = None, text: str = ""):
+    def __init__(
+        self, status_code: int, body: dict | None = None, text: str = "", headers: dict | None = None
+    ):
         self.status_code = status_code
         self._body = body or {}
         self.text = text or str(body)
+        self.headers = headers or {}
 
     def json(self):
         return self._body
 
 
 class FakeSession:
-    """Replays (status, body) pairs or raises queued exceptions."""
+    """Replays (status, body[, headers]) tuples or raises queued exceptions."""
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
@@ -103,8 +105,7 @@ class FakeSession:
         self.calls += 1
         if isinstance(outcome, Exception):
             raise outcome
-        status, body = outcome
-        return FakeResponse(status, body)
+        return FakeResponse(*outcome[:2], headers=outcome[2] if len(outcome) > 2 else None)
 
 
 def _ok_body(text="hello"):
@@ -162,6 +163,42 @@ class TestHttpChatProvider:
         with pytest.raises(ContentError):
             provider.complete(LlmRequest(prompt="hi"))
         assert provider._session.calls == 1
+
+    def _recorded(self, outcomes, **kwargs):
+        sleeps: list[float] = []
+        provider = HttpChatProvider(
+            "http://llm.test/v1", "fake", session=FakeSession(outcomes),
+            sleep=sleeps.append, backoff_base=0.5, **kwargs,
+        )
+        return provider, sleeps
+
+    def test_429_waits_retry_after_then_succeeds(self):
+        provider, sleeps = self._recorded([(429, {}, {"Retry-After": "3"}), (200, _ok_body("ok"))])
+        assert provider.complete(LlmRequest(prompt="hi")).text == "ok"
+        assert provider._session.calls == 2
+        assert sleeps == [3.0]
+
+    def test_408_and_429_without_header_use_backoff(self):
+        provider, sleeps = self._recorded([(408, {}), (429, {}), (200, _ok_body("ok"))])
+        assert provider.complete(LlmRequest(prompt="hi")).text == "ok"
+        assert provider._session.calls == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_unusable_retry_after_falls_back_to_backoff(self):
+        provider, sleeps = self._recorded([
+            (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            (429, {}, {"Retry-After": "inf"}),
+            (200, _ok_body("ok")),
+        ])
+        assert provider.complete(LlmRequest(prompt="hi")).text == "ok"
+        assert sleeps == [0.5, 1.0]
+
+    def test_429_gives_up_after_attempt_limit(self):
+        provider, sleeps = self._recorded([(429, {}, {"Retry-After": "1"})], max_attempts=3)
+        with pytest.raises(NetworkError, match="HTTP 429"):
+            provider.complete(LlmRequest(prompt="hi"))
+        assert provider._session.calls == 3
+        assert sleeps == [1.0, 1.0]
 
     def test_malformed_body_is_content_error(self):
         provider = _provider([(200, {"nope": True})])
@@ -351,6 +388,3 @@ class TestScriptedProvider:
         assert provider.complete(request).text == "two"
         assert provider.complete(request).text == "two"
         assert len(provider.calls) == 3
-
-    def test_mock_provider_factory(self):
-        assert mock_provider(4).seed == 4

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from taxrec.core import Feature, Taxonomy
 from taxrec.errors import ParseError
-from taxrec.gateway import MockProvider, ScriptedProvider
+from taxrec.gateway import JSON_REMINDER, MockProvider, ScriptedProvider
 from taxrec.taxonomy import (
     generate_taxonomy,
     load_taxonomy,
@@ -190,6 +190,8 @@ class TestGenerateAndPersist:
         assert doc.taxonomy.feature_names == ("genre",)
         assert len(provider.calls) == 2
         assert "Respond with only a JSON object" in provider.calls[1].prompt
+        assert provider.calls[1].prompt.endswith(JSON_REMINDER)
+        assert provider.calls[1].max_output_tokens == provider.calls[0].max_output_tokens == 2048
 
     def test_double_parse_failure_surfaces_raw_text(self, tmp_path):
         provider = ScriptedProvider(["no structure here", "still nothing"])
@@ -197,6 +199,15 @@ class TestGenerateAndPersist:
             generate_taxonomy(provider, "book", tmp_path)
         assert excinfo.value.raw_text == "still nothing"
         assert len(provider.calls) == 2
+
+    def test_cache_from_another_provider_is_regenerated(self, tmp_path):
+        generate_taxonomy(MockProvider(1), "book", tmp_path)
+        doc = generate_taxonomy(MockProvider(2), "book", tmp_path)
+        fresh = generate_taxonomy(MockProvider(2), "book", None)
+        assert doc.taxonomy == fresh.taxonomy
+        assert doc.provider_fingerprint == fresh.provider_fingerprint
+        assert doc.provider_fingerprint[0] == "mock-2"
+        assert load_taxonomy(tmp_path, "book").provider_fingerprint[0] == "mock-2"
 
     def test_fingerprint_changes_with_content(self, small_taxonomy):
         base = taxonomy_fingerprint("m", small_taxonomy)
