@@ -40,6 +40,7 @@ from .gateway import (
 )
 from .taxonomy import (
     TaxonomyDocument,
+    cached_taxonomy,
     generate_taxonomy,
     load_taxonomy,
     parse_taxonomy,
@@ -86,7 +87,6 @@ from .baselines import (
     popularity_recommend,
 )
 from .evaluation import (
-    EvalInstance,
     MetricReport,
     SweepSetup,
     build_book_sequences,

@@ -10,7 +10,7 @@ import csv
 import json
 import threading
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -424,20 +424,18 @@ def categorize_pool(
                 pending = {executor.submit(worker, item): item for item in todo}
                 # Cache writes happen only on this thread: one writer, many
                 # categorization workers.
-                while pending:
-                    finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        item = pending.pop(future)
-                        try:
-                            categorized, raw_text = future.result()
-                        except Exception as exc:
-                            stats.failures.append((item.id, str(exc)))
-                        else:
-                            entries[item.id] = categorized
-                            _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
-                            done += 1
-                        if progress is not None:
-                            progress(done, total, len(stats.failures))
+                for future in as_completed(pending):
+                    item = pending.pop(future)
+                    try:
+                        categorized, raw_text = future.result()
+                    except Exception as exc:
+                        stats.failures.append((item.id, str(exc)))
+                    else:
+                        entries[item.id] = categorized
+                        _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
+                        done += 1
+                    if progress is not None:
+                        progress(done, total, len(stats.failures))
 
     failure_fraction = len(stats.failures) / total
     if failure_fraction > failure_threshold:

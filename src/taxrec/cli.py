@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -188,14 +188,23 @@ def _progress_line(done: int, total: int, failed: int) -> None:
 # -- subcommands -------------------------------------------------------
 
 
+def _require_taxonomy(provider: gateway.Provider, cfg: RunConfig) -> taxonomy.TaxonomyDocument:
+    doc = taxonomy.cached_taxonomy(provider, cfg.domain, Path(cfg.cache_dir))
+    if doc is None:
+        raise TaxRecError(
+            f"no taxonomy for domain {cfg.domain!r} from model {provider.model_name!r}; "
+            "run 'taxrec taxonomy' first"
+        )
+    return doc
+
+
 def cmd_taxonomy(cfg: RunConfig) -> int:
     cache_dir = Path(cfg.cache_dir)
-    cached = taxonomy.load_taxonomy(cache_dir, cfg.domain)
-    if cached is not None:
+    provider = build_provider(cfg)
+    doc = taxonomy.cached_taxonomy(provider, cfg.domain, cache_dir)
+    if doc is not None:
         print(f"cached taxonomy for domain {cfg.domain!r}")
-        doc = cached
     else:
-        provider = build_provider(cfg)
         doc = taxonomy.generate_taxonomy(provider, cfg.domain, cache_dir)
         print(f"generated taxonomy for domain {cfg.domain!r}")
     for feature in doc.taxonomy.features:
@@ -205,20 +214,15 @@ def cmd_taxonomy(cfg: RunConfig) -> int:
 
 
 def cmd_categorize(cfg: RunConfig) -> int:
-    cache_dir = Path(cfg.cache_dir)
-    doc = taxonomy.load_taxonomy(cache_dir, cfg.domain)
-    if doc is None:
-        raise TaxRecError(
-            f"no taxonomy for domain {cfg.domain!r}; run 'taxrec taxonomy' first"
-        )
-    pool, _ = load_dataset(cfg)
     provider = build_provider(cfg)
+    doc = _require_taxonomy(provider, cfg)
+    pool, _ = load_dataset(cfg)
     stats = catalog.CategorizeStats()
     cpool = catalog.categorize_pool(
         provider,
         pool,
         doc.taxonomy,
-        cache_dir,
+        Path(cfg.cache_dir),
         max_workers=cfg.max_workers,
         progress=_progress_line,
         stats=stats,
@@ -227,7 +231,7 @@ def cmd_categorize(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_history_ids(cfg: RunConfig, ids: str, ids_file: str) -> list[str]:
+def _read_history_ids(ids: str, ids_file: str) -> list[str]:
     if ids:
         return [part.strip() for part in ids.split(",") if part.strip()]
     if ids_file:
@@ -240,9 +244,8 @@ def _read_history_ids(cfg: RunConfig, ids: str, ids_file: str) -> list[str]:
 
 
 def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
-    cache_dir = Path(cfg.cache_dir)
     pool, _ = load_dataset(cfg)
-    history_ids = _read_history_ids(cfg, ids, ids_file)
+    history_ids = _read_history_ids(ids, ids_file)
     unknown = [item_id for item_id in history_ids if item_id not in pool.by_id]
     if unknown:
         raise TaxRecError(f"unknown item ids: {', '.join(unknown)}")
@@ -262,12 +265,10 @@ def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
     embedder = build_embedder(cfg) if rec_cfg.matcher == "embedding" else None
 
     if rec_cfg.use_taxonomy:
-        doc = taxonomy.load_taxonomy(cache_dir, cfg.domain)
-        if doc is None:
-            raise TaxRecError(
-                f"no taxonomy for domain {cfg.domain!r}; run 'taxrec taxonomy' first"
-            )
-        cpool = catalog.load_categorized_pool(cache_dir, pool, doc.taxonomy, provider.model_name)
+        doc = _require_taxonomy(provider, cfg)
+        cpool = catalog.load_categorized_pool(
+            Path(cfg.cache_dir), pool, doc.taxonomy, provider.model_name
+        )
         result = recommender.recommend(
             provider, sequence, cpool, doc.taxonomy, rec_cfg,
             domain_label=cfg.domain, embedder=embedder,
@@ -301,7 +302,7 @@ def _taxrec_method(
 
     def method(sequence: InteractionSequence):
         return recommender.recommend(
-            provider, sequence, cpool, doc.taxonomy if doc else None, rec_cfg,
+            provider, sequence, cpool, doc.taxonomy, rec_cfg,
             domain_label=domain, embedder=embedder, index=index,
         ).ranked
 
@@ -358,7 +359,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             if name == "taxrec":
                 methods[name] = make_method(base_rec_cfg)
             elif name == "direct":
-                direct_cfg = base_rec_cfg.with_overrides(use_taxonomy=False, matcher="exact_title")
+                direct_cfg = replace(base_rec_cfg, use_taxonomy=False, matcher="exact_title")
                 methods[name] = make_method(direct_cfg)
             elif name == "popularity":
                 table = baselines.PopularityTable.from_interactions(interactions)

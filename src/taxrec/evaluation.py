@@ -13,7 +13,7 @@ import random
 import warnings
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -162,22 +162,6 @@ def ndcg_at_k(ranked: RankedList, target_id: str, k: int) -> float:
     return 1.0 / math.log2(rank + 1)
 
 
-@dataclass(frozen=True)
-class EvalInstance:
-    """One evaluated sequence with every method's ranked output."""
-
-    sequence: InteractionSequence
-    method_outputs: Mapping[str, RankedList]
-
-
-def run_instance(methods: Mapping[str, MethodFn], sequence: InteractionSequence) -> EvalInstance:
-    """Run every method on one sequence; failures propagate to the caller."""
-    return EvalInstance(
-        sequence=sequence,
-        method_outputs={name: method(sequence) for name, method in methods.items()},
-    )
-
-
 @dataclass
 class MetricReport:
     """Per-method recall/ndcg metrics plus the per-instance audit log.
@@ -261,13 +245,9 @@ def run_experiment(
                 rows.append(row)
             return rows
 
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                batches = list(executor.map(evaluate_instance, enumerate(sequences)))
-        else:
-            batches = [evaluate_instance(pair) for pair in enumerate(sequences)]
-        for batch in batches:
-            records.extend(batch)
+        with ThreadPoolExecutor(max_workers=max_workers) as executor:
+            for batch in executor.map(evaluate_instance, enumerate(sequences)):
+                records.extend(batch)
 
     records.sort(key=lambda r: (r["repeat"], r["instance"], r["method"]))
 
@@ -323,14 +303,12 @@ class SweepSetup:
     """Everything held fixed across sweep cells.
 
     ``make_method`` builds the system under test for one cell's
-    recommendation config; extra fixed methods (baselines) ride along
-    unchanged in every cell.
+    recommendation config.
     """
 
     make_method: Callable[..., MethodFn]
     base_config: object
     sequences: Sequence[InteractionSequence]
-    fixed_methods: Mapping[str, MethodFn] = field(default_factory=dict)
     repeats: int = 1
     ks: Sequence[int] = DEFAULT_KS
     max_workers: int = 4
@@ -338,25 +316,25 @@ class SweepSetup:
 
 def _sweep_config(axis: str, value, base_config):
     if axis == "feature_count":
-        return base_config.with_overrides(taxonomy_feature_count=int(value))
+        return replace(base_config, taxonomy_feature_count=int(value))
     if axis == "matcher":
-        return base_config.with_overrides(matcher=str(value))
+        return replace(base_config, matcher=str(value))
     if axis == "prompt_variant":
         key = str(value)
         if key not in PROMPT_VARIANTS:
             raise ValueError(f"unknown prompt variant {key!r}; expected one of {sorted(PROMPT_VARIANTS)}")
         history_titles, recommend_titles = PROMPT_VARIANTS[key]
-        return base_config.with_overrides(
-            history_with_titles=history_titles, recommend_with_titles=recommend_titles
+        return replace(
+            base_config, history_with_titles=history_titles, recommend_with_titles=recommend_titles
         )
     if axis == "component_ablation":
         key = str(value)
         if key == "full":
-            return base_config.with_overrides(use_taxonomy=True, matcher="taxonomy")
+            return replace(base_config, use_taxonomy=True, matcher="taxonomy")
         if key == "no_tax":
-            return base_config.with_overrides(use_taxonomy=False, matcher="exact_title")
+            return replace(base_config, use_taxonomy=False, matcher="exact_title")
         if key == "no_match":
-            return base_config.with_overrides(use_taxonomy=True, matcher="rouge")
+            return replace(base_config, use_taxonomy=True, matcher="rouge")
         raise ValueError(f"unknown ablation {key!r}; expected one of {COMPONENT_ABLATIONS}")
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
@@ -373,10 +351,8 @@ def run_sweep(axis: str, values: Sequence, base: SweepSetup) -> list[MetricRepor
         label = f"{axis}={value}"
         try:
             config = _sweep_config(axis, value, base.base_config)
-            methods = dict(base.fixed_methods)
-            methods[label] = base.make_method(config)
             report = run_experiment(
-                methods,
+                {label: base.make_method(config)},
                 base.sequences,
                 repeats=base.repeats,
                 ks=base.ks,

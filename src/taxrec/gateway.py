@@ -60,18 +60,6 @@ class PromptTemplate:
                 seen.append(slot)
         return tuple(seen)
 
-    @property
-    def role_line(self) -> str:
-        """The leading "You are a ..." sentence."""
-        first = self.text.splitlines()[0]
-        return first.split(". ")[0] + "."
-
-    @property
-    def task_line(self) -> str:
-        """The task sentence(s) following the role sentence."""
-        first = self.text.splitlines()[0]
-        return first[len(self.role_line) :].strip()
-
     def render(self, **values: object) -> str:
         missing = [slot for slot in self.slots if slot not in values]
         if missing:
@@ -223,18 +211,6 @@ class HttpChatProvider:
 
             session = requests.Session()
         self._session = session
-
-    @classmethod
-    def from_env(cls, env: Mapping[str, str], **kwargs: Any) -> "HttpChatProvider":
-        base_url = env.get("TAXREC_LLM_BASE_URL")
-        if not base_url:
-            raise AuthError("TAXREC_LLM_BASE_URL is not configured")
-        return cls(
-            base_url=base_url,
-            model_name=env.get("TAXREC_LLM_MODEL", "default"),
-            api_key=env.get("TAXREC_LLM_API_KEY"),
-            **kwargs,
-        )
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         with self._semaphore:

@@ -130,13 +130,6 @@ class HttpEmbedder:
         self._cache: dict[str, list[float]] = {}
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_env(cls, env: Mapping[str, str], **kwargs: Any) -> "HttpEmbedder":
-        base_url = env.get("TAXREC_EMBED_BASE_URL")
-        if not base_url:
-            raise TaxRecError("TAXREC_EMBED_BASE_URL is not configured")
-        return cls(base_url=base_url, **kwargs)
-
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         with self._lock:
             missing = [t for t in texts if t not in self._cache]

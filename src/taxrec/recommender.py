@@ -7,7 +7,7 @@ switches (taxonomy off, free-text matchers, title toggles) live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import gateway
@@ -56,9 +56,6 @@ class RecommendConfig:
                 "without a taxonomy there is no feature set to intersect; "
                 "matcher must be 'exact_title' or 'embedding'"
             )
-
-    def with_overrides(self, **changes) -> "RecommendConfig":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -155,18 +152,19 @@ def build_pool_index(pool: CategorizedPool, *, include_titles: bool = False) -> 
     """Build the pair -> item ids index once per (pool, taxonomy) pair.
 
     With ``include_titles``, every pool item also posts a ``title`` pair so
-    title-carrying recommendations can match through the same scorer.
+    title-carrying recommendations can match through the same scorer. An
+    item posts each pair once, even if it was also categorized with it.
     """
     postings: dict[FeaturePair, list[str]] = {}
     for item in pool.pool.items:
         categorized = pool.entries.get(item.id)
-        if categorized is not None:
-            for pair in categorized.pairs:
-                postings.setdefault(pair, []).append(item.id)
+        pairs = categorized.pairs if categorized is not None else frozenset()
         if include_titles:
             title = normalize_text(item.title)
             if title:
-                postings.setdefault(FeaturePair(TITLE_KEY, title), []).append(item.id)
+                pairs = pairs | {FeaturePair(TITLE_KEY, title)}
+        for pair in pairs:
+            postings.setdefault(pair, []).append(item.id)
     return PoolIndex(
         postings={pair: tuple(ids) for pair, ids in postings.items()},
         item_ids=tuple(item.id for item in pool.pool.items),

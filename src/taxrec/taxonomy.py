@@ -182,6 +182,25 @@ def load_taxonomy(cache_dir: Path, domain_label: str) -> TaxonomyDocument | None
     )
 
 
+def _provider_fingerprint(provider: gateway.Provider) -> tuple[str, str]:
+    return (provider.model_name, gateway.template_hash("taxonomy_generation"))
+
+
+def cached_taxonomy(
+    provider: gateway.Provider, domain_label: str, cache_dir: Path
+) -> TaxonomyDocument | None:
+    """The cached taxonomy for a domain, if ``provider`` generated it.
+
+    Returns None when nothing is cached, or when the cached document's
+    provider fingerprint (model name, generation-template hash) differs
+    from ``provider``'s, so a taxonomy from another model is never reused.
+    """
+    cached = load_taxonomy(cache_dir, domain_label)
+    if cached is None or cached.provider_fingerprint != _provider_fingerprint(provider):
+        return None
+    return cached
+
+
 def generate_taxonomy(
     provider: gateway.Provider,
     domain_label: str,
@@ -203,11 +222,10 @@ def generate_taxonomy(
         raise ValueError("domain_label must be non-empty")
     with _locks_guard:
         lock = _generation_locks.setdefault(domain_label, threading.Lock())
-    fingerprint = (provider.model_name, gateway.template_hash("taxonomy_generation"))
     with lock:
         if cache_dir is not None and not force:
-            cached = load_taxonomy(cache_dir, domain_label)
-            if cached is not None and cached.provider_fingerprint == fingerprint:
+            cached = cached_taxonomy(provider, domain_label, cache_dir)
+            if cached is not None:
                 return cached
 
         request = gateway.LlmRequest(
@@ -223,7 +241,7 @@ def generate_taxonomy(
             taxonomy=taxonomy,
             source_text=source_text,
             created_at=datetime.now(timezone.utc).isoformat(),
-            provider_fingerprint=fingerprint,
+            provider_fingerprint=_provider_fingerprint(provider),
         )
         if cache_dir is not None:
             store_taxonomy(doc, cache_dir)

@@ -51,6 +51,23 @@ class TestTaxonomyCommand:
         assert code == 1
         assert "base URL" in capsys.readouterr().err
 
+    def test_cache_from_another_model_is_refused_then_regenerated(self, workdir, capsys):
+        seed1 = ["--domain", "book", "--provider", "mock", "--mock-seed", "1"]
+        seed2 = ["--provider", "mock", "--mock-seed", "2", *SMALL_SYNTH]
+        assert run_cli(["taxonomy", *seed1]) == 0
+        capsys.readouterr()
+
+        assert run_cli(["categorize", *seed2]) == 1
+        assert "mock-2" in capsys.readouterr().err
+        assert run_cli(["recommend", *seed2, "--ids", "s0000"]) == 1
+        assert "mock-2" in capsys.readouterr().err
+
+        assert run_cli(["taxonomy", "--domain", "book", "--provider", "mock", "--mock-seed", "2"]) == 0
+        assert "generated taxonomy" in capsys.readouterr().out
+        cached = json.loads((workdir / ".taxrec-cache" / "book" / "taxonomy.json").read_text())
+        assert cached["provider_fingerprint"][0] == "mock-2"
+        assert run_cli(["categorize", *seed2]) == 0
+
 
 class TestCategorizeCommand:
     def test_requires_taxonomy_first(self, workdir, capsys):

@@ -11,7 +11,6 @@ from taxrec.catalog import Interaction, ItemPool
 from taxrec.core import InteractionSequence, Item, RankedList, rank_scores
 from taxrec.errors import TaxRecError
 from taxrec.evaluation import (
-    EvalInstance,
     MetricReport,
     SweepSetup,
     build_book_sequences,
@@ -22,7 +21,6 @@ from taxrec.evaluation import (
     pad_history,
     recall_at_k,
     run_experiment,
-    run_instance,
     run_sweep,
     write_report,
 )
@@ -318,13 +316,6 @@ class TestRunExperiment:
 
         with pytest.raises(TaxRecError):
             run_experiment({"shallow": shallow}, sequences, repeats=1, max_workers=1)
-
-    def test_run_instance_collects_outputs(self):
-        items = _items(5)
-        sequence = _sequences(1, items)[0]
-        instance = run_instance({"m": _constant_method(1)}, sequence)
-        assert isinstance(instance, EvalInstance)
-        assert instance.method_outputs["m"].rank_of(sequence.target.id) == 1
 
 
 class TestRunSweep:

@@ -74,8 +74,8 @@ class TestPromptRendering:
     def test_template_slots_and_lines(self):
         template = load_template("recommendation")
         assert template.slots == ("domain", "k", "taxonomy", "history")
-        assert template.role_line.startswith("You are a {domain} recommender system")
-        assert "please recommend" in template.task_line
+        assert template.text.startswith("You are a {domain} recommender system")
+        assert "please recommend" in template.text.splitlines()[0]
 
 
 class FakeResponse:
@@ -244,10 +244,6 @@ class TestHttpChatProvider:
         for thread in threads:
             thread.join()
         assert peak <= 2
-
-    def test_from_env_requires_base_url(self):
-        with pytest.raises(AuthError):
-            HttpChatProvider.from_env({})
 
 
 class TestMockProviderTaxonomy:

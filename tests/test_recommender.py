@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxrec.catalog import CategorizedPool, ItemPool
 from taxrec.core import (
@@ -12,11 +13,14 @@ from taxrec.core import (
     FeatureSet,
     InteractionSequence,
     Item,
+    normalize_text,
     pair_set_intersection_size,
+    rank_scores,
 )
 from taxrec.errors import ParseError, StageError
 from taxrec.gateway import MockProvider, ScriptedProvider
 from taxrec.recommender import (
+    TITLE_KEY,
     RecommendConfig,
     build_pool_index,
     categorize_history,
@@ -311,6 +315,55 @@ class TestScorePool:
         with_titles = dict(score_pool(feature_set, cpool, include_titles=True))
         assert without["x"] == 0.0
         assert with_titles["x"] == 1.0
+
+
+# Few keys, values, ids and titles, so equal scores (and ties at the k cut)
+# are common; "Emma" and " emma!" share one normalized title, "?!" has none.
+_PAIRS = st.builds(
+    FeaturePair, st.sampled_from(["genre", "tone", TITLE_KEY]), st.sampled_from(["x", "y", "emma"])
+)
+_TITLES = st.sampled_from(["Emma", " emma!", "X", "Y", "?!"])
+
+
+@st.composite
+def tie_heavy_pools(draw) -> CategorizedPool:
+    ids = draw(st.lists(st.text("ab1", min_size=1, max_size=2), min_size=1, max_size=8, unique=True))
+    items = [Item(id=item_id, title=draw(_TITLES)) for item_id in ids]
+    entries = {}
+    for item in items:
+        pairs = draw(st.none() | st.frozensets(_PAIRS, max_size=4))
+        if pairs is not None:  # None leaves the item uncategorized
+            entries[item.id] = CategorizedItem(item=item, pairs=pairs)
+    pool = ItemPool(domain_label="book", items=tuple(items))
+    return CategorizedPool(
+        taxonomy_ref=("prop", 2), entries=entries, coverage=len(entries) / len(items), pool=pool
+    )
+
+
+def oracle_top_k(
+    f: FeatureSet, cpool: CategorizedPool, include_titles: bool, k: int
+) -> list[tuple[str, float]]:
+    scored = []
+    for item in cpool.pool.items:
+        entry = cpool.entries.get(item.id)
+        pairs = set(entry.pairs) if entry else set()
+        title = normalize_text(item.title)
+        if include_titles and title:
+            pairs.add(FeaturePair(TITLE_KEY, title))
+        scored.append((item.id, float(pair_set_intersection_size(pairs, f.pairs))))
+    return sorted(scored, key=lambda entry: (-entry[1], entry[0]))[:k]
+
+
+class TestRankingProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(cpool=tie_heavy_pools(), pairs=st.frozensets(_PAIRS, max_size=6))
+    def test_top_k_matches_oracle_at_every_cut(self, cpool, pairs):
+        f = FeatureSet(pairs=pairs, raw_text="")
+        for include_titles in (False, True):
+            scores = score_pool(f, cpool, include_titles=include_titles)
+            for k in range(1, len(cpool.pool.items) + 3):
+                ranked = rank_scores(scores, k)
+                assert list(ranked.entries) == oracle_top_k(f, cpool, include_titles, k)
 
 
 class TestMatchFreeform:
