@@ -18,12 +18,13 @@ from taxrec import (
     recommend,
 )
 
-cache_dir = Path(tempfile.mkdtemp(prefix="taxrec-demo-"))
 provider = MockProvider(seed=7)
 
 pool, _ = make_synthetic_dataset(n_items=40, n_users=10, interactions_per_user=10, seed=7)
-doc = generate_taxonomy(provider, "book", cache_dir)
-cpool = categorize_pool(provider, pool, doc.taxonomy, cache_dir, max_workers=4)
+with tempfile.TemporaryDirectory(prefix="taxrec-demo-") as workdir:
+    cache_dir = Path(workdir)
+    doc = generate_taxonomy(provider, "book", cache_dir)
+    cpool = categorize_pool(provider, pool, doc.taxonomy, cache_dir, max_workers=4)
 
 # A user who read the first ten items; the eleventh is held out.
 history = pool.items[:10]

@@ -26,14 +26,15 @@ from taxrec import (
 
 warnings.simplefilter("ignore")  # the mock is deterministic; repeats warn
 
-cache_dir = Path(tempfile.mkdtemp(prefix="taxrec-demo-"))
 provider = MockProvider(seed=7)
 
 pool, interactions = make_synthetic_dataset(
     n_items=80, n_users=25, interactions_per_user=15, seed=7
 )
-doc = generate_taxonomy(provider, "book", cache_dir)
-cpool = categorize_pool(provider, pool, doc.taxonomy, cache_dir, max_workers=4)
+with tempfile.TemporaryDirectory(prefix="taxrec-demo-") as workdir:
+    cache_dir = Path(workdir)
+    doc = generate_taxonomy(provider, "book", cache_dir)
+    cpool = categorize_pool(provider, pool, doc.taxonomy, cache_dir, max_workers=4)
 
 # Timestamped protocol: each target's history is the window just before it.
 sequences = build_movie_sequences(interactions, pool, threshold=10, sample_n=40, seed=7)

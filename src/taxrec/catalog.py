@@ -348,10 +348,7 @@ def _append_cache_record(
     record = {
         "item_id": item_id,
         "taxonomy_fingerprint": fingerprint,
-        "pairs": [
-            {"key": p.key, "value": p.value}
-            for p in sorted(categorized.pairs, key=lambda p: (p.key, p.value))
-        ],
+        "pairs": [{"key": p.key, "value": p.value} for p in sorted(categorized.pairs)],
         "raw_text": raw_text,
     }
     handle.write(json.dumps(record, sort_keys=True) + "\n")

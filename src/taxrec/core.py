@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 # Characters stripped from the ends of a normalized string. Plain ASCII
@@ -79,16 +80,28 @@ class Taxonomy:
         raise KeyError(name)
 
 
-@dataclass(frozen=True, order=True)
-class FeaturePair:
-    """A normalized (feature name, value) pair."""
+class FeaturePair(tuple):
+    """A normalized (feature name, value) pair.
 
-    key: str
-    value: str
+    A 2-tuple, so hashing, equality and ordering (by key, then value) run
+    in C, and a pair compares equal to the plain tuple ``(key, value)``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.key or not self.value:
+    __slots__ = ()
+
+    def __new__(cls, key: str, value: str) -> FeaturePair:
+        if not key or not value:
             raise ValueError("feature pair key and value must be non-empty")
+        return tuple.__new__(cls, (key, value))
+
+    key = property(itemgetter(0), doc="The feature name.")
+    value = property(itemgetter(1), doc="The feature value.")
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"FeaturePair(key={self[0]!r}, value={self[1]!r})"
 
 
 @dataclass(frozen=True)
@@ -167,7 +180,10 @@ def rank_scores(scores: Sequence[tuple[str, float]], k: int) -> RankedList:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered = sorted(scores, key=lambda entry: (-entry[1], entry[0]))
+    # Two stable sorts on C keys: by id, then by score descending. For
+    # finite scores this is the order of the key (-score, id).
+    ordered = sorted(scores, key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
     return RankedList(entries=tuple(ordered[:k]), k=k)
 
 

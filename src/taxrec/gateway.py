@@ -13,6 +13,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
@@ -52,13 +53,9 @@ class PromptTemplate:
     name: str
     text: str
 
-    @property
+    @cached_property
     def slots(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for slot in _SLOT_RE.findall(self.text):
-            if slot not in seen:
-                seen.append(slot)
-        return tuple(seen)
+        return tuple(dict.fromkeys(_SLOT_RE.findall(self.text)))
 
     def render(self, **values: object) -> str:
         missing = [slot for slot in self.slots if slot not in values]
@@ -67,13 +64,16 @@ class PromptTemplate:
         return self.text.format(**{slot: values[slot] for slot in self.slots})
 
 
+@cache
 def load_template(name: str) -> PromptTemplate:
+    """The named template asset, read from disk once per process."""
     path = _TEMPLATE_DIR / f"{name}.txt"
     if not path.exists():
         raise FileNotFoundError(f"prompt template not found: {path}")
     return PromptTemplate(name=name, text=path.read_text(encoding="utf-8"))
 
 
+@cache
 def template_hash(name: str) -> str:
     """Stable fingerprint of a template asset, for cache addressing."""
     text = load_template(name).text

@@ -7,7 +7,9 @@ switches (taxonomy off, free-text matchers, title toggles) live here.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from . import gateway
@@ -155,7 +157,7 @@ def build_pool_index(pool: CategorizedPool, *, include_titles: bool = False) -> 
     title-carrying recommendations can match through the same scorer. An
     item posts each pair once, even if it was also categorized with it.
     """
-    postings: dict[FeaturePair, list[str]] = {}
+    postings: defaultdict[FeaturePair, list[str]] = defaultdict(list)
     for item in pool.pool.items:
         categorized = pool.entries.get(item.id)
         pairs = categorized.pairs if categorized is not None else frozenset()
@@ -164,7 +166,7 @@ def build_pool_index(pool: CategorizedPool, *, include_titles: bool = False) -> 
             if title:
                 pairs = pairs | {FeaturePair(TITLE_KEY, title)}
         for pair in pairs:
-            postings.setdefault(pair, []).append(item.id)
+            postings[pair].append(item.id)
     return PoolIndex(
         postings={pair: tuple(ids) for pair, ids in postings.items()},
         item_ids=tuple(item.id for item in pool.pool.items),
@@ -188,11 +190,8 @@ def score_pool(
     """
     if index is None:
         index = build_pool_index(pool, include_titles=include_titles)
-    accumulator: dict[str, int] = {}
-    for pair in f.pairs:
-        for item_id in index.postings.get(pair, ()):
-            accumulator[item_id] = accumulator.get(item_id, 0) + 1
-    return [(item_id, float(accumulator.get(item_id, 0))) for item_id in index.item_ids]
+    counts = Counter(chain.from_iterable(index.postings.get(pair, ()) for pair in f.pairs))
+    return [(item_id, float(counts.get(item_id, 0))) for item_id in index.item_ids]
 
 
 def match_freeform(

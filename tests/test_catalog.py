@@ -1,12 +1,14 @@
 """Dataset ingestion and the cached, resumable categorization pass."""
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from taxrec.catalog import (
     CategorizeStats,
+    _append_cache_record,
     Interaction,
     ItemPool,
     categorize_item,
@@ -16,7 +18,7 @@ from taxrec.catalog import (
     load_categorized_pool,
     load_movielens,
 )
-from taxrec.core import FeaturePair, Item
+from taxrec.core import CategorizedItem, FeaturePair, Item
 from taxrec.errors import ParseError, TaxRecError
 from taxrec.gateway import LINE_REMINDER, ScriptedProvider
 from taxrec.taxonomy import truncate_features
@@ -290,6 +292,25 @@ class TestCategorizePool:
         counting2 = CountingProvider(mock7)
         categorize_pool(counting2, pool, small_taxonomy, tmp_path)
         assert counting2.calls == 0
+
+    def test_cache_record_line_golden(self):
+        # The line the cache has always held for this item: keys sorted,
+        # pairs sorted by key then value, non-ASCII escaped.
+        pairs = frozenset({
+            FeaturePair("theme", "power"),
+            FeaturePair("genre", "mystery"),
+            FeaturePair("genre", "fiction"),
+            FeaturePair("era", "belle époque"),
+        })
+        handle = io.StringIO()
+        categorized = CategorizedItem(item=Item(id="b7", title="Émile"), pairs=pairs)
+        _append_cache_record(handle, "b7", "fp01", categorized, "genre: fiction, mystery\ntheme: power")
+        assert handle.getvalue() == (
+            '{"item_id": "b7", "pairs": [{"key": "era", "value": "belle \\u00e9poque"}, '
+            '{"key": "genre", "value": "fiction"}, {"key": "genre", "value": "mystery"}, '
+            '{"key": "theme", "value": "power"}], '
+            '"raw_text": "genre: fiction, mystery\\ntheme: power", "taxonomy_fingerprint": "fp01"}\n'
+        )
 
     def test_entry_keys_subset_of_taxonomy(self, tmp_path, small_taxonomy):
         pool = small_pool(4)

@@ -1,10 +1,12 @@
 """Core vocabulary: normalization, pair intersection, ranking order."""
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taxrec.core import (
     FeaturePair,
@@ -119,6 +121,28 @@ class TestRankedList:
             rank_scores([("a", 1.0)], k=0)
 
 
+# Few distinct ids and mostly repeated scores, so ties at the k cut are
+# common; signed zeros tie with each other.
+_SCORES = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+class TestRankingProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(
+            st.tuples(st.text("abc1", min_size=1, max_size=3), _SCORES),
+            max_size=12,
+            unique_by=lambda entry: entry[0],
+        )
+    )
+    def test_equals_score_then_id_sort_at_every_cut(self, scores):
+        expected = sorted(scores, key=lambda entry: (-entry[1], entry[0]))
+        for k in range(1, len(scores) + 3):
+            assert list(rank_scores(scores, k).entries) == expected[:k]
+
+
 class TestDomainTypes:
     def test_item_requires_id(self):
         with pytest.raises(ValueError):
@@ -139,3 +163,48 @@ class TestDomainTypes:
             FeaturePair("", "fiction")
         with pytest.raises(ValueError):
             FeaturePair("genre", "")
+
+
+class TestFeaturePair:
+    def test_equal_pairs_hash_equally(self):
+        a, b = FeaturePair("genre", "fiction"), FeaturePair("genre", "fiction")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != FeaturePair("genre", "mystery")
+
+    def test_equals_plain_tuple(self):
+        assert FeaturePair("genre", "fiction") == ("genre", "fiction")
+
+    def test_sorted_by_key_then_value(self):
+        pairs = [
+            FeaturePair("theme", "love"),
+            FeaturePair("genre", "mystery"),
+            FeaturePair("genre", "fiction"),
+            FeaturePair("era", "modern"),
+        ]
+        assert [(pair.key, pair.value) for pair in sorted(pairs)] == [
+            ("era", "modern"),
+            ("genre", "fiction"),
+            ("genre", "mystery"),
+            ("theme", "love"),
+        ]
+
+    def test_repr(self):
+        assert repr(FeaturePair("genre", "fiction")) == "FeaturePair(key='genre', value='fiction')"
+
+    def test_fields_read_only(self):
+        pair = FeaturePair("genre", "fiction")
+        assert (pair.key, pair.value) == ("genre", "fiction")
+        with pytest.raises(AttributeError):
+            pair.key = "theme"
+        with pytest.raises(AttributeError):
+            pair.value = "mystery"
+        with pytest.raises(AttributeError):
+            pair.other = "x"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        pair = FeaturePair("genre", "fiction")
+        for copied in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair), copy.copy(pair)):
+            assert type(copied) is FeaturePair
+            assert copied == pair and hash(copied) == hash(pair)
+            assert (copied.key, copied.value) == ("genre", "fiction")
