@@ -8,6 +8,8 @@ the evaluation module instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -22,7 +24,7 @@ from .recommender import Recommendation, RecommendConfig, recommend_direct
 
 @dataclass(frozen=True)
 class PopularityTable:
-    """Global interaction counts per item."""
+    """Global interaction counts per item; ``counts`` is not changed once ranked."""
 
     counts: Mapping[str, int]
 
@@ -33,6 +35,12 @@ class PopularityTable:
             counts[record.item_id] = counts.get(record.item_id, 0) + 1
         return cls(counts=counts)
 
+    @cached_property
+    def ranked(self) -> tuple[tuple[str, float], ...]:
+        """Every (item id, count) once, in ``rank_scores`` order: count descending, then id."""
+        scores = [(item_id, float(count)) for item_id, count in self.counts.items()]
+        return rank_scores(scores, max(len(scores), 1)).entries
+
 
 def popularity_recommend(
     table: PopularityTable, history: InteractionSequence, k: int
@@ -41,10 +49,9 @@ def popularity_recommend(
     if not table.counts:
         raise TaxRecError("popularity table is empty")
     seen = {item.id for item in history.history}
-    scores = [
-        (item_id, float(count)) for item_id, count in table.counts.items() if item_id not in seen
-    ]
-    return rank_scores(scores, k)
+    unseen = (entry for entry in table.ranked if entry[0] not in seen)
+    # The prefix is already in order; rank_scores keeps its check on k.
+    return rank_scores(list(islice(unseen, max(k, 0))), k)
 
 
 class AverageEmbeddingRecommender:

@@ -10,7 +10,8 @@ import csv
 import json
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -393,8 +394,9 @@ def categorize_pool(
     """Categorize every item in the pool, resuming from the cache.
 
     Items already cached for this taxonomy fingerprint are not re-sent.
-    Each completed item is appended to the cache immediately, so an
-    interrupted run resumes where it left off. Per-item failures are
+    Each completed item is appended to the cache as soon as every item
+    before it in the pool is done, so an interrupted run resumes where it
+    left off and two cold runs write the same bytes. Per-item failures are
     tolerated up to ``failure_threshold`` of the pool, then the run fails
     (successes stay cached).
     """
@@ -418,11 +420,12 @@ def categorize_pool(
                         provider, item, taxonomy, pool.domain_label, stats, 512
                     )
 
-                pending = {executor.submit(worker, item): item for item in todo}
-                # Cache writes happen only on this thread: one writer, many
-                # categorization workers.
-                for future in as_completed(pending):
-                    item = pending.pop(future)
+                pending = deque((item, executor.submit(worker, item)) for item in todo)
+                # Cache writes happen only on this thread, in pool order: one
+                # writer, many categorization workers, and the same cache
+                # bytes whatever order the workers finish in.
+                while pending:
+                    item, future = pending.popleft()
                     try:
                         categorized, raw_text = future.result()
                     except Exception as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -30,6 +30,41 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+# Each ``_*_against(text)`` reads the reply once and returns the per-title
+# scorer, so scoring a pool prepares the reply once per request, not once
+# per title. The public per-title functions are the one-title case.
+
+
+def _bleu_against(reference: str, max_order: int = 4) -> Callable[[str], float]:
+    ref = tokenize(reference)
+    ref_counts = [_ngram_counts(ref, n) for n in range(1, max_order + 1)]
+
+    def score(candidate: str) -> float:
+        cand = tokenize(candidate)
+        if not cand or not ref:
+            return 0.0
+        order = min(max_order, len(cand))
+        log_sum = 0.0
+        for n in range(1, order + 1):
+            cand_counts = _ngram_counts(cand, n)
+            ref_n = ref_counts[n - 1]
+            clipped = sum(min(count, ref_n[gram]) for gram, count in cand_counts.items())
+            total = max(1, len(cand) - n + 1)
+            if clipped == 0:
+                precision = 0.1 / total
+            else:
+                precision = clipped / total
+            log_sum += math.log(precision)
+        geometric_mean = math.exp(log_sum / order)
+        if len(cand) >= len(ref):
+            brevity_penalty = 1.0
+        else:
+            brevity_penalty = math.exp(1.0 - len(ref) / len(cand))
+        return brevity_penalty * geometric_mean
+
+    return score
+
+
 def bleu_score(candidate: str, reference: str, max_order: int = 4) -> float:
     """Smoothed sentence-level BLEU of ``candidate`` against ``reference``.
 
@@ -37,28 +72,7 @@ def bleu_score(candidate: str, reference: str, max_order: int = 4) -> float:
     precisions are smoothed by adding 0.1 to the numerator, so identical
     strings score exactly 1.0 at any length.
     """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand or not ref:
-        return 0.0
-    order = min(max_order, len(cand))
-    log_sum = 0.0
-    for n in range(1, order + 1):
-        cand_counts = _ngram_counts(cand, n)
-        ref_counts = _ngram_counts(ref, n)
-        clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-        total = max(1, len(cand) - n + 1)
-        if clipped == 0:
-            precision = 0.1 / total
-        else:
-            precision = clipped / total
-        log_sum += math.log(precision)
-    geometric_mean = math.exp(log_sum / order)
-    if len(cand) >= len(ref):
-        brevity_penalty = 1.0
-    else:
-        brevity_penalty = math.exp(1.0 - len(ref) / len(cand))
-    return brevity_penalty * geometric_mean
+    return _bleu_against(reference, max_order)(candidate)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -76,24 +90,41 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return previous[-1]
 
 
+def _rouge_against(reference: str) -> Callable[[str], float]:
+    ref = tokenize(reference)
+
+    def score(candidate: str) -> float:
+        cand = tokenize(candidate)
+        lcs = _lcs_length(cand, ref)
+        if lcs == 0:
+            return 0.0
+        precision = lcs / len(cand)
+        recall = lcs / len(ref)
+        return 2.0 * precision * recall / (precision + recall)
+
+    return score
+
+
 def rouge_l_f1(candidate: str, reference: str) -> float:
     """ROUGE-L F1 (longest common subsequence over word tokens)."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    return 2.0 * precision * recall / (precision + recall)
+    return _rouge_against(reference)(candidate)
+
+
+def _exact_title_against(text: str) -> Callable[[str], float]:
+    haystack = normalize_text(text)
+
+    def score(title: str) -> float:
+        needle = normalize_text(title)
+        if not needle:
+            return 0.0
+        return 1.0 if needle in haystack else 0.0
+
+    return score
 
 
 def exact_title_score(title: str, text: str) -> float:
     """1.0 if the normalized title occurs as a substring of the normalized text."""
-    needle = normalize_text(title)
-    if not needle:
-        return 0.0
-    return 1.0 if needle in normalize_text(text) else 0.0
+    return _exact_title_against(text)(title)
 
 
 class Embedder(Protocol):
@@ -227,7 +258,9 @@ def score_titles_against_text(
         text_vector = vectors[-1]
         return [(item_id, cosine_similarity(vec, text_vector)) for item_id, vec in zip(ids, vectors)]
     if method == "bleu":
-        return [(item_id, bleu_score(title, text)) for item_id, title in titles.items()]
-    if method == "rouge":
-        return [(item_id, rouge_l_f1(title, text)) for item_id, title in titles.items()]
-    return [(item_id, exact_title_score(title, text)) for item_id, title in titles.items()]
+        scorer = _bleu_against(text)
+    elif method == "rouge":
+        scorer = _rouge_against(text)
+    else:
+        scorer = _exact_title_against(text)
+    return [(item_id, scorer(title)) for item_id, title in titles.items()]

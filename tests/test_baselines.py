@@ -5,6 +5,7 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxrec.baselines import (
     AverageEmbeddingRecommender,
@@ -13,7 +14,7 @@ from taxrec.baselines import (
     popularity_recommend,
 )
 from taxrec.catalog import Interaction, ItemPool
-from taxrec.core import InteractionSequence, Item
+from taxrec.core import InteractionSequence, Item, rank_scores
 from taxrec.errors import TaxRecError
 from taxrec.gateway import MockProvider, ScriptedProvider
 
@@ -59,6 +60,34 @@ class TestPopularity:
     def test_empty_table_is_error(self):
         with pytest.raises(TaxRecError):
             popularity_recommend(PopularityTable(counts={}), _sequence(["a"], "t"), k=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.sampled_from([f"i{n}" for n in range(12)]),
+            st.integers(min_value=0, max_value=3),
+            min_size=1,
+        ),
+        histories=st.lists(
+            st.lists(st.sampled_from([f"i{n}" for n in range(14)]), min_size=1, max_size=6),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_equals_rank_scores_over_unseen_at_every_cut(self, counts, histories):
+        # One table serves every history, as in an evaluation run.
+        table = PopularityTable(counts=counts)
+        for history_ids in histories:
+            sequence = _sequence(history_ids, "target")
+            unseen = [(i, float(c)) for i, c in counts.items() if i not in set(history_ids)]
+            for k in range(1, len(counts) + 3):
+                assert popularity_recommend(table, sequence, k) == rank_scores(unseen, k)
+
+    def test_nonpositive_k_rejected(self):
+        table = PopularityTable(counts={"a": 1})
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                popularity_recommend(table, _sequence(["z"], "t"), k)
 
 
 class OneHotEmbedder:

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import io
 import json
+import re
+import threading
+import time
 
 import pytest
 
@@ -292,6 +295,36 @@ class TestCategorizePool:
         counting2 = CountingProvider(mock7)
         categorize_pool(counting2, pool, small_taxonomy, tmp_path)
         assert counting2.calls == 0
+
+    def test_cold_runs_write_pool_order(self, mock7, small_taxonomy, tmp_path):
+        pool = small_pool(12)
+
+        class SlowFirstProvider:
+            """Earlier items answer later, so workers finish out of pool order."""
+
+            model_name = mock7.model_name
+
+            def __init__(self):
+                self.finished: list[int] = []
+                self._lock = threading.Lock()
+
+            def complete(self, request):
+                index = int(re.search(r"Work (\d+)", request.prompt).group(1))
+                time.sleep((len(pool.items) - index) * 0.005)
+                response = mock7.complete(request)
+                with self._lock:
+                    self.finished.append(index)
+                return response
+
+        cache_bytes = []
+        for run in ("first", "second"):
+            provider = SlowFirstProvider()
+            categorize_pool(provider, pool, small_taxonomy, tmp_path / run, max_workers=4)
+            assert provider.finished != sorted(provider.finished)
+            cache_bytes.append((tmp_path / run / "book" / "items.jsonl").read_bytes())
+        assert cache_bytes[0] == cache_bytes[1]
+        written = [json.loads(line)["item_id"] for line in cache_bytes[0].decode().splitlines()]
+        assert written == [item.id for item in pool.items]
 
     def test_cache_record_line_golden(self):
         # The line the cache has always held for this item: keys sorted,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxrec.errors import TaxRecError
 from taxrec.matchers import (
@@ -72,6 +73,44 @@ class TestExactTitle:
     def test_only_zero_or_one(self):
         for text in ("Emma", "emma emma", "no"):
             assert exact_title_score("Emma", text) in (0.0, 1.0)
+
+
+# Prose words, punctuation-only tokens (a title of only these normalizes to
+# empty), whitespace runs, curly quotes and non-ASCII text.
+_WORDS = st.sampled_from(
+    ["the", "Emma", "emma", "fox", "brown", "a", "war", "peace", "!!", "...", "--", "?",
+     "\u201cEmma\u201d", "\u2018tale\u2019", "\u00abfox\u00bb", "caf\u00e9", "na\u00efve",
+     "\u00c9mile", "\u03a9", "\u65e5\u672c", "\u00df", "  ", "\t", "\n"]
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n ", ", ", ". "])
+
+
+@st.composite
+def _phrases(draw, max_words):
+    words = draw(st.lists(_WORDS, max_size=max_words))
+    separators = draw(st.lists(_SEPARATORS, min_size=len(words), max_size=len(words)))
+    return "".join(word + sep for word, sep in zip(words, separators))
+
+
+class TestScoreTitlesAgainstText:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        titles=st.lists(_phrases(max_words=5), max_size=8),
+        text=_phrases(max_words=30),
+        quoted=st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+    )
+    def test_equals_per_title_function(self, titles, text, quoted):
+        # Some titles are copied into the reply, so exact matches occur.
+        text = " ".join([text] + [titles[i] for i in quoted if i < len(titles)])
+        by_id = {f"i{index}": title for index, title in enumerate(titles)}
+        per_title = {
+            "bleu": lambda title: bleu_score(title, text),
+            "rouge": lambda title: rouge_l_f1(title, text),
+            "exact_title": lambda title: exact_title_score(title, text),
+        }
+        for method, score in per_title.items():
+            expected = [(item_id, score(title)) for item_id, title in by_id.items()]
+            assert score_titles_against_text(by_id, text, method) == expected
 
 
 class OneHotEmbedder:
