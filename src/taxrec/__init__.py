@@ -67,7 +67,6 @@ from .recommender import (
     build_pool_index,
     categorize_history,
     history_to_prompt_text,
-    match_freeform,
     parse_feature_output,
     recommend,
     score_pool,
@@ -83,7 +82,6 @@ from .matchers import (
 from .baselines import (
     AverageEmbeddingRecommender,
     PopularityTable,
-    direct_llm_recommend,
     popularity_recommend,
 )
 from .evaluation import (

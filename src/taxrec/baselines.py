@@ -1,9 +1,9 @@
 """Non-taxonomy recommenders for the comparison harness.
 
 Popularity and average-embedding baselines run locally; the direct LLM
-baseline reuses the taxonomy-free path of the recommendation pipeline.
-Pretrained-checkpoint baselines are consumed as external result files by
-the evaluation module instead.
+baseline is :func:`taxrec.recommender.recommend_direct`, the taxonomy-free
+path of the recommendation pipeline. Pretrained-checkpoint baselines are
+consumed as external result files by the evaluation module instead.
 """
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import gateway
 from .catalog import Interaction, ItemPool
 from .core import InteractionSequence, RankedList, rank_scores
 from .errors import TaxRecError
 from .matchers import Embedder
-from .recommender import Recommendation, RecommendConfig, recommend_direct
 
 
 @dataclass(frozen=True)
@@ -86,24 +84,3 @@ class AverageEmbeddingRecommender:
             if item_id not in seen
         ]
         return rank_scores(scores, k)
-
-
-def direct_llm_recommend(
-    provider: gateway.Provider,
-    history: InteractionSequence,
-    pool: ItemPool,
-    k: int,
-    matcher: str = "exact_title",
-    *,
-    domain_label: str | None = None,
-    embedder: Embedder | None = None,
-) -> Recommendation:
-    """Ask the model for recommendations from raw titles, no taxonomy.
-
-    The free-text reply is mapped onto the pool with the chosen matcher;
-    an out-of-pool reply simply scores nothing, it can never inject an
-    unknown item id.
-    """
-    cfg = RecommendConfig(k=k, matcher=matcher, use_taxonomy=False)
-    domain = domain_label or pool.domain_label or "item"
-    return recommend_direct(provider, history, pool, cfg, domain, embedder)

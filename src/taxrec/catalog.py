@@ -52,6 +52,11 @@ class ItemPool:
     def by_id(self) -> Mapping[str, Item]:
         return {item.id: item for item in self.items}
 
+    @cached_property
+    def titles(self) -> Mapping[str, str]:
+        """Item id -> raw title, in pool order: what the free-text matchers score."""
+        return {item.id: item.title for item in self.items}
+
 
 @dataclass(frozen=True)
 class CategorizedPool:
@@ -266,7 +271,6 @@ def _categorize_with_raw(
     taxonomy: Taxonomy,
     domain_label: str | None,
     stats: CategorizeStats | None,
-    max_output_tokens: int,
 ) -> tuple[CategorizedItem, str]:
     domain = domain_label or taxonomy.domain_label or "item"
     prompt = gateway.render_categorization_prompt(
@@ -285,7 +289,7 @@ def _categorize_with_raw(
             raise ParseError(f"no feature pairs parsed for item {item.id!r}", raw_text=text)
         return CategorizedItem(item=item, pairs=pairs), text
 
-    request = gateway.LlmRequest(prompt=prompt, max_output_tokens=max_output_tokens)
+    request = gateway.LlmRequest(prompt=prompt, max_output_tokens=512)
     return gateway.ask(provider, request, parse, reminder=gateway.LINE_REMINDER)
 
 
@@ -296,7 +300,6 @@ def categorize_item(
     *,
     domain_label: str | None = None,
     stats: CategorizeStats | None = None,
-    max_output_tokens: int = 512,
 ) -> CategorizedItem:
     """Categorize one item against the taxonomy.
 
@@ -304,9 +307,7 @@ def categorize_item(
     ``stats``); values outside the taxonomy's enumerated lists are kept.
     One automatic re-ask on unparseable output, then :class:`ParseError`.
     """
-    categorized, _ = _categorize_with_raw(
-        provider, item, taxonomy, domain_label, stats, max_output_tokens
-    )
+    categorized, _ = _categorize_with_raw(provider, item, taxonomy, domain_label, stats)
     return categorized
 
 
@@ -416,9 +417,7 @@ def categorize_pool(
         with path.open("a", encoding="utf-8") as handle:
             with ThreadPoolExecutor(max_workers=max_workers) as executor:
                 def worker(item: Item) -> tuple[CategorizedItem, str]:
-                    return _categorize_with_raw(
-                        provider, item, taxonomy, pool.domain_label, stats, 512
-                    )
+                    return _categorize_with_raw(provider, item, taxonomy, pool.domain_label, stats)
 
                 pending = deque((item, executor.submit(worker, item)) for item in todo)
                 # Cache writes happen only on this thread, in pool order: one

@@ -274,10 +274,7 @@ def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
             domain_label=cfg.domain, embedder=embedder,
         )
     else:
-        result = baselines.direct_llm_recommend(
-            provider, sequence, pool, cfg.k,
-            matcher=rec_cfg.matcher, domain_label=cfg.domain, embedder=embedder,
-        )
+        result = recommender.recommend_direct(provider, sequence, pool, rec_cfg, cfg.domain, embedder)
 
     print(f"{'rank':>4}  {'id':<12} {'score':>8}  title")
     for rank, (item_id, score) in enumerate(result.ranked.entries, start=1):

@@ -144,22 +144,26 @@ def build_book_sequences(
     return sequences
 
 
+def _recall_at_rank(rank: int | None, k: int) -> float:
+    return 1.0 if rank is not None and rank <= k else 0.0
+
+
+def _ndcg_at_rank(rank: int | None, k: int) -> float:
+    return 1.0 / math.log2(rank + 1) if rank is not None and rank <= k else 0.0
+
+
 def recall_at_k(ranked: RankedList, target_id: str, k: int) -> float:
     """1.0 if the single target appears in the top k, else 0.0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rank = ranked.rank_of(target_id)
-    return 1.0 if rank is not None and rank <= k else 0.0
+    return _recall_at_rank(ranked.rank_of(target_id), k)
 
 
 def ndcg_at_k(ranked: RankedList, target_id: str, k: int) -> float:
     """Single-relevant-item NDCG: 1/log2(rank+1) within k, else 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rank = ranked.rank_of(target_id)
-    if rank is None or rank > k:
-        return 0.0
-    return 1.0 / math.log2(rank + 1)
+    return _ndcg_at_rank(ranked.rank_of(target_id), k)
 
 
 @dataclass
@@ -261,9 +265,8 @@ def run_experiment(
             continue  # a miss: contributes zero to every metric
         rank = row["rank"]
         for k in ks:
-            hit = rank is not None and rank <= k
-            totals[name][f"recall@{k}"] += 1.0 if hit else 0.0
-            totals[name][f"ndcg@{k}"] += (1.0 / math.log2(rank + 1)) if hit else 0.0
+            totals[name][f"recall@{k}"] += _recall_at_rank(rank, k)
+            totals[name][f"ndcg@{k}"] += _ndcg_at_rank(rank, k)
 
     denominator = len(sequences) * repeats
     per_method = {

@@ -1,9 +1,10 @@
 """Provider-agnostic chat-completion access.
 
 Covers prompt rendering for the three pipeline templates (plus the
-taxonomy-free direct variant), an HTTP chat provider with retries and a
-bounded in-flight count, and a deterministic mock provider that stands in
-for a real model in tests and desk-scale experiments.
+taxonomy-free direct variant), the one HTTP+JSON client that the chat
+provider and the embedder share (retries, typed errors and a bounded
+in-flight count), and a deterministic mock provider that stands in for a
+real model in tests and desk-scale experiments.
 """
 from __future__ import annotations
 
@@ -171,15 +172,15 @@ def ask(
         return parse(provider.complete(retry).text)
 
 
-class HttpChatProvider:
-    """Chat-completion over HTTP+JSON, OpenAI-wire-compatible.
+class HttpJsonClient:
+    """One HTTP+JSON endpoint family serving ``model_name``, behind a single :meth:`post`.
 
-    POSTs ``{model, messages, temperature, max_tokens}`` to
-    ``<base_url>/chat/completions`` and reads the first choice's message
-    content. Transient failures (network errors, 5xx, and 408/429) are
-    retried up to ``max_attempts`` with exponential backoff, or after the
-    ``Retry-After`` seconds a 408/429 response gives; other 4xx failures are
-    surfaced immediately. An internal semaphore caps in-flight requests.
+    Owns the session, the headers, a semaphore capping in-flight requests,
+    and the retry policy: network errors, 5xx, and 408/429 are retried up to
+    ``max_attempts`` with exponential backoff, or after the ``Retry-After``
+    seconds a 408/429 response gives. 401/403 raise :class:`AuthError`,
+    other 4xx :class:`ContentError`, and exhausted attempts
+    :class:`NetworkError`.
     """
 
     def __init__(
@@ -212,60 +213,66 @@ class HttpChatProvider:
             session = requests.Session()
         self._session = session
 
-    def complete(self, request: LlmRequest) -> LlmResponse:
-        with self._semaphore:
-            return self._complete_with_retries(request)
-
-    def _complete_with_retries(self, request: LlmRequest) -> LlmResponse:
+    def post(self, path: str, body: Mapping[str, Any]) -> Any:
+        """POST ``body`` as JSON to ``<base_url><path>`` and return the decoded reply."""
         import requests
 
-        body = {
-            "model": request.model_name or self.model_name,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
-        }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
         retry_after: float | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                backoff = self.backoff_base * (2 ** (attempt - 1))
-                self._sleep(backoff if retry_after is None else retry_after)
-            retry_after = None
-            try:
-                response = self._session.post(
-                    f"{self.base_url}/chat/completions",
-                    json=body,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            status = response.status_code
-            if status in (401, 403):
-                raise AuthError(f"provider rejected credentials (HTTP {status})")
-            if status in (408, 429):
-                retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
-                last_error = NetworkError(f"provider asked to retry (HTTP {status})")
-                continue
-            if 400 <= status < 500:
-                raise ContentError(f"provider rejected request (HTTP {status}): {response.text[:200]}")
-            if status >= 500:
-                last_error = NetworkError(f"provider failure (HTTP {status})")
-                continue
-            return self._parse_body(response)
+        with self._semaphore:
+            for attempt in range(self.max_attempts):
+                if attempt:
+                    backoff = self.backoff_base * (2 ** (attempt - 1))
+                    self._sleep(backoff if retry_after is None else retry_after)
+                retry_after = None
+                try:
+                    response = self._session.post(
+                        f"{self.base_url}{path}", json=body, headers=headers, timeout=self.timeout
+                    )
+                except requests.RequestException as exc:
+                    last_error = exc
+                    continue
+                status = response.status_code
+                if status in (401, 403):
+                    raise AuthError(f"provider rejected credentials (HTTP {status})")
+                if status in (408, 429):
+                    retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
+                    last_error = NetworkError(f"provider asked to retry (HTTP {status})")
+                    continue
+                if 400 <= status < 500:
+                    raise ContentError(f"provider rejected request (HTTP {status}): {response.text[:200]}")
+                if status >= 500:
+                    last_error = NetworkError(f"provider failure (HTTP {status})")
+                    continue
+                try:
+                    return response.json()
+                except ValueError as exc:
+                    raise ContentError(f"malformed provider response: {exc}")
         raise NetworkError(f"provider unreachable after {self.max_attempts} attempts: {last_error}")
 
-    def _parse_body(self, response: Any) -> LlmResponse:
+
+class HttpChatProvider(HttpJsonClient):
+    """Chat-completion over HTTP+JSON, OpenAI-wire-compatible.
+
+    POSTs ``{model, messages, temperature, max_tokens}`` to
+    ``<base_url>/chat/completions`` and reads the first choice's message
+    content; retries and errors are :class:`HttpJsonClient`'s.
+    """
+
+    def complete(self, request: LlmRequest) -> LlmResponse:
+        data = self.post("/chat/completions", {
+            "model": request.model_name or self.model_name,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": request.temperature,
+            "max_tokens": request.max_output_tokens,
+        })
         try:
-            data = response.json()
             text = data["choices"][0]["message"]["content"]
-        except Exception as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ContentError(f"malformed provider response: {exc}")
         usage = None
         usage_obj = data.get("usage") or {}

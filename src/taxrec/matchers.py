@@ -2,7 +2,7 @@
 
 These back the ablation that skips feature parsing and maps the raw
 recommendation text onto the pool by text similarity: smoothed sentence
-BLEU, ROUGE-L F1, embedding cosine, and exact normalized-substring lookup.
+BLEU, ROUGE-L F1, embedding cosine, and word-bounded exact title lookup.
 """
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .core import normalize_text
-from .errors import ContentError, NetworkError, TaxRecError
+from .errors import ContentError, TaxRecError
+from .gateway import HttpJsonClient
 
 MATCHER_METHODS = ("taxonomy", "bleu", "rouge", "embedding", "exact_title")
 
-# Methods usable when no parsed feature set exists (taxonomy disabled).
-FREEFORM_METHODS = ("bleu", "rouge", "embedding", "exact_title")
+# Methods that rank the raw reply text instead of a parsed feature set.
+FREEFORM_METHODS = tuple(method for method in MATCHER_METHODS if method != "taxonomy")
 
 
 def tokenize(text: str) -> list[str]:
@@ -110,20 +111,37 @@ def rouge_l_f1(candidate: str, reference: str) -> float:
     return _rouge_against(reference)(candidate)
 
 
+def _is_word_char(char: str) -> bool:
+    return char.isalnum() or char == "_"
+
+
 def _exact_title_against(text: str) -> Callable[[str], float]:
     haystack = normalize_text(text)
+    end = len(haystack)
 
     def score(title: str) -> float:
         needle = normalize_text(title)
-        if not needle:
+        if not needle or needle not in haystack:
             return 0.0
-        return 1.0 if needle in haystack else 0.0
+        start = haystack.find(needle)
+        while start != -1:
+            stop = start + len(needle)
+            if (start == 0 or not _is_word_char(haystack[start - 1])) and (
+                stop == end or not _is_word_char(haystack[stop])
+            ):
+                return 1.0
+            start = haystack.find(needle, start + 1)
+        return 0.0
 
     return score
 
 
 def exact_title_score(title: str, text: str) -> float:
-    """1.0 if the normalized title occurs as a substring of the normalized text."""
+    """1.0 if the normalized title occurs in the normalized text on word boundaries.
+
+    An occurrence counts only when the characters on either side of it are
+    not word characters (alphanumeric or ``_``) or are the ends of the text.
+    """
     return _exact_title_against(text)(title)
 
 
@@ -133,11 +151,12 @@ class Embedder(Protocol):
     def embed(self, texts: Sequence[str]) -> list[list[float]]: ...
 
 
-class HttpEmbedder:
+class HttpEmbedder(HttpJsonClient):
     """Embeddings over HTTP+JSON: POST ``{model, input}`` to ``<base>/embeddings``.
 
     Responses follow the usual ``{"data": [{"embedding": [...]}]}`` shape.
-    Vectors are memoized per input text.
+    Vectors are memoized per input text. Retries, typed errors and the
+    in-flight bound are :class:`~taxrec.gateway.HttpJsonClient`'s defaults.
     """
 
     def __init__(
@@ -149,15 +168,7 @@ class HttpEmbedder:
         timeout: float = 60.0,
         session: Any = None,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.model_name = model_name
-        self.api_key = api_key
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        super().__init__(base_url, model_name, api_key, timeout=timeout, session=session)
         self._cache: dict[str, list[float]] = {}
         self._lock = threading.Lock()
 
@@ -165,25 +176,10 @@ class HttpEmbedder:
         with self._lock:
             missing = [t for t in texts if t not in self._cache]
         if missing:
-            headers = {"Content-Type": "application/json"}
-            if self.api_key:
-                headers["Authorization"] = f"Bearer {self.api_key}"
-            import requests
-
+            data = self.post("/embeddings", {"model": self.model_name, "input": missing})
             try:
-                response = self._session.post(
-                    f"{self.base_url}/embeddings",
-                    json={"model": self.model_name, "input": list(missing)},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                raise NetworkError(f"embedder unreachable: {exc}")
-            if response.status_code != 200:
-                raise ContentError(f"embedder failure (HTTP {response.status_code})")
-            try:
-                vectors = [row["embedding"] for row in response.json()["data"]]
-            except Exception as exc:
+                vectors = [row["embedding"] for row in data["data"]]
+            except (KeyError, IndexError, TypeError) as exc:
                 raise ContentError(f"malformed embedder response: {exc}")
             if len(vectors) != len(missing):
                 raise ContentError("embedder returned wrong number of vectors")

@@ -194,23 +194,6 @@ def score_pool(
     return [(item_id, float(counts.get(item_id, 0))) for item_id in index.item_ids]
 
 
-def match_freeform(
-    s_raw: str,
-    pool: ItemPool,
-    method: str,
-    embedder: Embedder | None = None,
-) -> list[tuple[str, float]]:
-    """Map raw model text onto the pool by text similarity.
-
-    ``bleu`` scores each title as a smoothed sentence-BLEU candidate against
-    the text, ``rouge`` uses ROUGE-L F1, ``embedding`` cosine similarity via
-    the configured embedder, and ``exact_title`` normalized substring
-    containment (0 or 1).
-    """
-    titles = {item.id: item.title for item in pool.items}
-    return score_titles_against_text(titles, s_raw, method, embedder)
-
-
 def _direct_history_text(history: Sequence[Item]) -> str:
     return "\n".join(item.title for item in history)
 
@@ -285,7 +268,9 @@ def recommend(
                 feature_set, pool, index=index, include_titles=cfg.recommend_with_titles
             )
         else:
-            scores = match_freeform(feature_set.raw_text, pool.pool, cfg.matcher, embedder)
+            scores = score_titles_against_text(
+                pool.pool.titles, feature_set.raw_text, cfg.matcher, embedder
+            )
     ranked = rank_scores(scores, cfg.k)
     return Recommendation(
         ranked=ranked, feature_set=feature_set, prompt_text=prompt, raw_output=feature_set.raw_text
@@ -300,7 +285,11 @@ def recommend_direct(
     domain: str,
     embedder: Embedder | None,
 ) -> Recommendation:
-    """The taxonomy-free path: raw history titles in, free-text matching out."""
+    """The taxonomy-free path: raw history titles in, free-text matching out.
+
+    The reply is mapped onto the pool with ``cfg.matcher``; an out-of-pool
+    reply scores nothing, it can never inject an unknown item id.
+    """
     with stage("render_prompt"):
         prompt = gateway.render_direct_recommendation_prompt(
             domain, _direct_history_text(sequence.history), cfg.k
@@ -308,7 +297,7 @@ def recommend_direct(
     with stage("complete"):
         response = provider.complete(gateway.LlmRequest(prompt=prompt))
     with stage("match"):
-        scores = match_freeform(response.text, pool, cfg.matcher, embedder)
+        scores = score_titles_against_text(pool.titles, response.text, cfg.matcher, embedder)
     ranked = rank_scores(scores, cfg.k)
     return Recommendation(
         ranked=ranked,

@@ -205,9 +205,6 @@ def generate_taxonomy(
     provider: gateway.Provider,
     domain_label: str,
     cache_dir: Path | None,
-    *,
-    force: bool = False,
-    max_output_tokens: int = 2048,
 ) -> TaxonomyDocument:
     """Generate (or load) the one-time taxonomy for a domain.
 
@@ -223,13 +220,13 @@ def generate_taxonomy(
     with _locks_guard:
         lock = _generation_locks.setdefault(domain_label, threading.Lock())
     with lock:
-        if cache_dir is not None and not force:
+        if cache_dir is not None:
             cached = cached_taxonomy(provider, domain_label, cache_dir)
             if cached is not None:
                 return cached
 
         request = gateway.LlmRequest(
-            prompt=gateway.render_taxonomy_prompt(domain_label), max_output_tokens=max_output_tokens
+            prompt=gateway.render_taxonomy_prompt(domain_label), max_output_tokens=2048
         )
         taxonomy, source_text = gateway.ask(
             provider,

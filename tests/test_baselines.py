@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from taxrec.baselines import (
     AverageEmbeddingRecommender,
     PopularityTable,
-    direct_llm_recommend,
     popularity_recommend,
 )
 from taxrec.catalog import Interaction, ItemPool
 from taxrec.core import InteractionSequence, Item, rank_scores
 from taxrec.errors import TaxRecError
 from taxrec.gateway import MockProvider, ScriptedProvider
+from taxrec.recommender import RecommendConfig, recommend_direct
 
 
 def _sequence(history_ids, target_id, titles=None):
@@ -157,6 +157,8 @@ class TestAverageEmbedding:
 
 
 class TestDirectLlmRecommend:
+    CFG = RecommendConfig(k=3, matcher="exact_title", use_taxonomy=False)
+
     def _pool(self):
         return ItemPool(
             domain_label="book",
@@ -170,24 +172,24 @@ class TestDirectLlmRecommend:
     def test_exact_pool_title_ranks_first(self):
         provider = ScriptedProvider(["You should read War and Peace next."])
         sequence = _sequence(["a"], "b", {"a": "Emma", "b": "War and Peace"})
-        result = direct_llm_recommend(provider, sequence, self._pool(), k=3)
+        result = recommend_direct(provider, sequence, self._pool(), self.CFG, "book", None)
         assert result.ranked.entries[0] == ("b", 1.0)
 
     def test_out_of_pool_titles_score_zero_but_list_well_formed(self):
         provider = MockProvider(7)
         sequence = _sequence(["a"], "b", {"a": "Emma", "b": "War and Peace"})
-        result = direct_llm_recommend(provider, sequence, self._pool(), k=3)
+        result = recommend_direct(provider, sequence, self._pool(), self.CFG, "book", None)
         assert [score for _, score in result.ranked.entries] == [0.0, 0.0, 0.0]
         assert result.ranked.item_ids == ("a", "b", "c")  # id tie-break
         assert set(result.ranked.item_ids) <= {"a", "b", "c"}
 
     def test_deterministic(self):
         sequence = _sequence(["a"], "b", {"a": "Emma", "b": "War and Peace"})
-        first = direct_llm_recommend(MockProvider(7), sequence, self._pool(), k=3)
-        second = direct_llm_recommend(MockProvider(7), sequence, self._pool(), k=3)
+        first = recommend_direct(MockProvider(7), sequence, self._pool(), self.CFG, "book", None)
+        second = recommend_direct(MockProvider(7), sequence, self._pool(), self.CFG, "book", None)
         assert first == second
 
     def test_no_taxonomy_text_in_prompt(self):
         sequence = _sequence(["a"], "b", {"a": "Emma", "b": "War and Peace"})
-        result = direct_llm_recommend(MockProvider(7), sequence, self._pool(), k=3)
+        result = recommend_direct(MockProvider(7), sequence, self._pool(), self.CFG, "book", None)
         assert "taxonomy" not in result.prompt_text.lower()

@@ -21,6 +21,7 @@ from taxrec.gateway import (
     render_recommendation_prompt,
     render_taxonomy_prompt,
 )
+from taxrec.matchers import HttpEmbedder
 
 from conftest import CountingProvider
 
@@ -98,8 +99,10 @@ class FakeSession:
         self.outcomes = list(outcomes)
         self.calls = 0
         self.bodies = []
+        self.urls = []
 
     def post(self, url, json=None, headers=None, timeout=None):
+        self.urls.append(url)
         self.bodies.append(json)
         outcome = self.outcomes[min(self.calls, len(self.outcomes) - 1)]
         self.calls += 1
@@ -244,6 +247,68 @@ class TestHttpChatProvider:
         for thread in threads:
             thread.join()
         assert peak <= 2
+
+
+def _vectors(*rows):
+    return {"data": [{"embedding": list(row)} for row in rows]}
+
+
+class TestHttpEmbedder:
+    def _embedder(self, outcomes):
+        embedder = HttpEmbedder(
+            "http://embed.test/v1/", "emb", api_key="secret", session=FakeSession(outcomes)
+        )
+        sleeps: list[float] = []
+        embedder._sleep = sleeps.append
+        return embedder, sleeps
+
+    def test_429_with_retry_after_zero_then_success(self):
+        embedder, sleeps = self._embedder([(429, {}, {"Retry-After": "0"}), (200, _vectors([1.0, 0.0]))])
+        assert embedder.embed(["a"]) == [[1.0, 0.0]]
+        assert embedder._session.calls == 2
+        assert sleeps == [0.0]
+
+    def test_503_then_success(self):
+        embedder, sleeps = self._embedder([(503, {}), (200, _vectors([1.0]))])
+        assert embedder.embed(["a"]) == [[1.0]]
+        assert embedder._session.calls == 2
+        assert sleeps == [0.5]
+
+    def test_auth_error_after_one_post(self):
+        embedder, _ = self._embedder([(401, {})])
+        with pytest.raises(AuthError):
+            embedder.embed(["a"])
+        assert embedder._session.calls == 1
+
+    def test_repeated_5xx_is_network_error_after_max_attempts(self):
+        embedder, sleeps = self._embedder([(500, {})])
+        with pytest.raises(NetworkError, match="HTTP 500"):
+            embedder.embed(["a"])
+        assert embedder._session.calls == embedder.max_attempts == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "body", [_vectors([1.0]), {"nope": True}, {"data": [{"vector": [1.0]}, {"vector": [2.0]}]}]
+    )
+    def test_wrong_count_or_malformed_body_is_content_error(self, body):
+        embedder, _ = self._embedder([(200, body)])
+        with pytest.raises(ContentError):
+            embedder.embed(["a", "b"])
+        assert embedder._session.calls == 1
+
+    def test_repeated_text_is_not_posted_again(self):
+        embedder, _ = self._embedder([(200, _vectors([1.0], [2.0])), (200, _vectors([3.0]))])
+        assert embedder.embed(["a", "b"]) == [[1.0], [2.0]]
+        assert embedder.embed(["b", "a"]) == [[2.0], [1.0]]
+        assert embedder._session.calls == 1
+        assert embedder.embed(["a", "c"]) == [[1.0], [3.0]]
+        assert embedder._session.bodies[1]["input"] == ["c"]
+
+    def test_request_body_and_url(self):
+        embedder, _ = self._embedder([(200, _vectors([1.0], [2.0]))])
+        embedder.embed(["x", "y"])
+        assert embedder._session.urls == ["http://embed.test/v1/embeddings"]
+        assert embedder._session.bodies == [{"model": "emb", "input": ["x", "y"]}]
 
 
 class TestMockProviderTaxonomy:

@@ -70,6 +70,12 @@ class TestExactTitle:
     def test_normalization_applies(self):
         assert exact_title_score("  EMMA ", "emma") == 1.0
 
+    def test_match_starts_and_ends_on_word_boundaries(self):
+        assert exact_title_score("It", "I would go with Emma next") == 0.0
+        assert exact_title_score("Emma", "Emmanuelle, then Persuasion") == 0.0
+        assert exact_title_score("Emma", "emma, then persuasion") == 1.0
+        assert exact_title_score("Emma", "emmanuelle and emma") == 1.0
+
     def test_only_zero_or_one(self):
         for text in ("Emma", "emma emma", "no"):
             assert exact_title_score("Emma", text) in (0.0, 1.0)

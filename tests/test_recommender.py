@@ -19,13 +19,13 @@ from taxrec.core import (
 )
 from taxrec.errors import ParseError, StageError
 from taxrec.gateway import MockProvider, ScriptedProvider
+from taxrec.matchers import score_titles_against_text
 from taxrec.recommender import (
     TITLE_KEY,
     RecommendConfig,
     build_pool_index,
     categorize_history,
     history_to_prompt_text,
-    match_freeform,
     parse_feature_output,
     recommend,
     score_pool,
@@ -367,27 +367,14 @@ class TestRankingProperty:
 
 
 class TestMatchFreeform:
-    def _pool(self):
-        return ItemPool(
+    def test_absent_title_exact_zero(self):
+        pool = ItemPool(
             domain_label="book",
             items=(Item(id="a", title="Emma"), Item(id="b", title="War and Peace")),
         )
-
-    def test_identical_title_bleu_one(self):
-        scores = dict(match_freeform("Emma", self._pool(), "bleu"))
-        assert scores["a"] == pytest.approx(1.0)
-
-    def test_absent_title_exact_zero(self):
-        scores = dict(match_freeform("Nothing here", self._pool(), "exact_title"))
+        assert pool.titles == {"a": "Emma", "b": "War and Peace"}
+        scores = dict(score_titles_against_text(pool.titles, "Nothing here", "exact_title"))
         assert scores == {"a": 0.0, "b": 0.0}
-
-    def test_rouge_hand_value(self):
-        pool = ItemPool(
-            domain_label="book",
-            items=(Item(id="a", title="the quick brown fox jumps"),),
-        )
-        scores = dict(match_freeform("the brown fox quickly jumps", pool, "rouge"))
-        assert scores["a"] == pytest.approx(0.8, abs=1e-9)
 
 
 class TestRecommendPipeline:
