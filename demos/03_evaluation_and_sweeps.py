@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory(prefix="taxrec-demo-") as workdir:
     cpool = categorize_pool(provider, pool, doc.taxonomy, cache_dir, max_workers=4)
 
 # Timestamped protocol: each target's history is the window just before it.
-sequences = build_movie_sequences(interactions, pool, threshold=10, sample_n=40, seed=7)
+sequences = build_movie_sequences(interactions, pool, sample_n=40, seed=7)
 print(f"built {len(sequences)} evaluation sequences (10 interactions each, padded)")
 
 

@@ -54,7 +54,6 @@ from .catalog import (
     CategorizeStats,
     Interaction,
     ItemPool,
-    categorize_item,
     categorize_pool,
     load_bookcrossing,
     load_categorized_pool,

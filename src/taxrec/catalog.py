@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import threading
 import warnings
 from collections import deque
@@ -24,6 +25,8 @@ from .errors import ParseError, TaxRecError
 from .taxonomy import taxonomy_fingerprint, taxonomy_to_prompt_text
 
 _MALFORMED_LINE_LIMIT = 0.01
+# Share of a pool whose categorization may fail before categorize_pool does.
+_ITEM_FAILURE_LIMIT = 0.02
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,13 @@ def _check_malformed(label: str, malformed: int, total: int) -> None:
         warnings.warn(f"{label}: skipped {malformed} malformed line(s)", stacklevel=3)
 
 
-def load_movielens(
-    data_dir: Path, *, item_delimiter: str = "|", data_delimiter: str = "\t"
-) -> tuple[ItemPool, list[Interaction]]:
+def load_movielens(data_dir: Path) -> tuple[ItemPool, list[Interaction]]:
     """Load a MovieLens-100k style directory.
 
     Expects ``u.item`` (pipe-delimited, title in the second field, latin-1)
-    and ``u.data`` (tab-separated user/item/rating/timestamp); delimiters
-    are overridable for variant dumps. Malformed lines are skipped with a
-    counted warning; more than 1% malformed is an error. Interactions come
-    back sorted per user by timestamp ascending.
+    and ``u.data`` (tab-separated user/item/rating/timestamp). Malformed
+    lines are skipped with a counted warning; more than 1% malformed is an
+    error. Interactions come back sorted per user by timestamp ascending.
     """
     data_dir = Path(data_dir)
     item_path = data_dir / "u.item"
@@ -123,7 +123,7 @@ def load_movielens(
         if not line.strip():
             continue
         total += 1
-        fields = line.split(item_delimiter)
+        fields = line.split("|")
         if len(fields) < 2 or not fields[0].strip() or not fields[1].strip():
             malformed += 1
             continue
@@ -144,7 +144,7 @@ def load_movielens(
         if not line.strip():
             continue
         total += 1
-        fields = line.split(data_delimiter)
+        fields = line.split("\t")
         if len(fields) != 4:
             malformed += 1
             continue
@@ -165,15 +165,13 @@ def load_movielens(
     return ItemPool(domain_label="movie", items=tuple(items)), interactions
 
 
-def load_bookcrossing(
-    data_dir: Path, *, delimiter: str = ";"
-) -> tuple[ItemPool, list[Interaction]]:
+def load_bookcrossing(data_dir: Path) -> tuple[ItemPool, list[Interaction]]:
     """Load a BookCrossing style directory.
 
-    Expects ``BX-Books.csv`` and ``BX-Book-Ratings.csv``: semicolon-delimited
-    (overridable), double-quoted, latin-1. Titles keep author and publisher
-    as extra fields; the pool is restricted to books that appear in the
-    interaction records (which carry no timestamps).
+    Expects ``BX-Books.csv`` and ``BX-Book-Ratings.csv``: semicolon-delimited,
+    double-quoted, latin-1. Titles keep author and publisher as extra
+    fields; the pool is restricted to books that appear in the interaction
+    records (which carry no timestamps).
     """
     data_dir = Path(data_dir)
     books_path = data_dir / "BX-Books.csv"
@@ -184,7 +182,7 @@ def load_bookcrossing(
 
     def rows(path: Path) -> Iterable[list[str]]:
         with path.open(encoding="latin-1", newline="") as handle:
-            reader = csv.reader(handle, delimiter=delimiter, quotechar='"', escapechar="\\")
+            reader = csv.reader(handle, delimiter=";", quotechar='"', escapechar="\\")
             for row in reader:
                 yield row
 
@@ -270,7 +268,7 @@ def _categorize_with_raw(
     item: Item,
     taxonomy: Taxonomy,
     domain_label: str | None,
-    stats: CategorizeStats | None,
+    stats: CategorizeStats,
 ) -> tuple[CategorizedItem, str]:
     domain = domain_label or taxonomy.domain_label or "item"
     prompt = gateway.render_categorization_prompt(
@@ -284,31 +282,13 @@ def _categorize_with_raw(
         attempts += 1
         pairs = filter_pairs(text, allowed, stats)
         if not pairs:
-            if attempts == 1 and stats is not None:
+            if attempts == 1:
                 stats.count_reask()
             raise ParseError(f"no feature pairs parsed for item {item.id!r}", raw_text=text)
         return CategorizedItem(item=item, pairs=pairs), text
 
     request = gateway.LlmRequest(prompt=prompt, max_output_tokens=512)
     return gateway.ask(provider, request, parse, reminder=gateway.LINE_REMINDER)
-
-
-def categorize_item(
-    provider: gateway.Provider,
-    item: Item,
-    taxonomy: Taxonomy,
-    *,
-    domain_label: str | None = None,
-    stats: CategorizeStats | None = None,
-) -> CategorizedItem:
-    """Categorize one item against the taxonomy.
-
-    Pairs whose key is not a taxonomy feature are dropped (and counted via
-    ``stats``); values outside the taxonomy's enumerated lists are kept.
-    One automatic re-ask on unparseable output, then :class:`ParseError`.
-    """
-    categorized, _ = _categorize_with_raw(provider, item, taxonomy, domain_label, stats)
-    return categorized
 
 
 def _cache_path(cache_dir: Path, domain_label: str) -> Path:
@@ -342,6 +322,20 @@ def _load_cached_entries(
             if pairs:
                 entries[item.id] = CategorizedItem(item=item, pairs=pairs)
     return entries
+
+
+def _start_fresh_line(path: Path) -> None:
+    """End a last line left without its newline by a killed write.
+
+    The torn line stays, and the loader skips it; the next record must not
+    be glued onto it.
+    """
+    with path.open("ab+") as raw:
+        size = raw.seek(0, os.SEEK_END)
+        if size:
+            raw.seek(size - 1)
+            if raw.read(1) != b"\n":
+                raw.write(b"\n")
 
 
 def _append_cache_record(
@@ -388,18 +382,20 @@ def categorize_pool(
     cache_dir: Path,
     *,
     max_workers: int = 4,
-    failure_threshold: float = 0.02,
     progress: Callable[[int, int, int], None] | None = None,
     stats: CategorizeStats | None = None,
 ) -> CategorizedPool:
     """Categorize every item in the pool, resuming from the cache.
 
     Items already cached for this taxonomy fingerprint are not re-sent.
+    Pairs whose key is not a taxonomy feature are dropped (and counted in
+    ``stats``); values outside the taxonomy's enumerated lists are kept.
+    Unparseable output is re-asked once; a second failure fails the item.
     Each completed item is appended to the cache as soon as every item
     before it in the pool is done, so an interrupted run resumes where it
     left off and two cold runs write the same bytes. Per-item failures are
-    tolerated up to ``failure_threshold`` of the pool, then the run fails
-    (successes stay cached).
+    tolerated up to 2% of the pool, then the run fails (successes stay
+    cached).
     """
     fingerprint = taxonomy_fingerprint(provider.model_name, taxonomy)
     path = _cache_path(cache_dir, pool.domain_label)
@@ -414,6 +410,7 @@ def categorize_pool(
         progress(done, total, 0)
 
     if todo:
+        _start_fresh_line(path)
         with path.open("a", encoding="utf-8") as handle:
             with ThreadPoolExecutor(max_workers=max_workers) as executor:
                 def worker(item: Item) -> tuple[CategorizedItem, str]:
@@ -437,10 +434,10 @@ def categorize_pool(
                         progress(done, total, len(stats.failures))
 
     failure_fraction = len(stats.failures) / total
-    if failure_fraction > failure_threshold:
+    if failure_fraction > _ITEM_FAILURE_LIMIT:
         raise TaxRecError(
             f"categorization failed for {len(stats.failures)} of {total} items "
-            f"({failure_fraction:.1%} > {failure_threshold:.0%}); "
+            f"({failure_fraction:.1%} > {_ITEM_FAILURE_LIMIT:.0%}); "
             f"first: {stats.failures[0][0]}: {stats.failures[0][1]}"
         )
 

@@ -73,12 +73,6 @@ class Taxonomy:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def feature(self, name: str) -> Feature:
-        for f in self.features:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 class FeaturePair(tuple):
     """A normalized (feature name, value) pair.
@@ -128,8 +122,9 @@ class FeatureSet:
 class InteractionSequence:
     """One evaluation instance: a user's padded history and the held-out target.
 
-    Builders pad ``history`` to the configured threshold (default 10), so
-    duplicated entries are expected; the target never appears in the history.
+    The sequence builders pad ``history`` to
+    :data:`taxrec.evaluation.HISTORY_LENGTH` (10) items, so duplicated
+    entries are expected; the target never appears in the history.
     """
 
     user_id: str

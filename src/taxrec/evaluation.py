@@ -24,9 +24,12 @@ from .errors import TaxRecError
 MethodFn = Callable[[InteractionSequence], RankedList]
 
 DEFAULT_KS = (1, 5, 10)
-DEFAULT_THRESHOLD = 10
+# Items per history, the paper's setting: longer windows are cut, shorter padded.
+HISTORY_LENGTH = 10
 DEFAULT_SAMPLE_N = 2000
 DISPLAY_SCALE = 10.0
+# Share of evaluations a method may fail before run_experiment does.
+_METHOD_FAILURE_LIMIT = 0.05
 
 SWEEP_AXES = ("feature_count", "matcher", "prompt_variant", "component_ablation")
 
@@ -56,7 +59,6 @@ def pad_history(history: Sequence[Item], threshold: int) -> list[Item]:
 def build_movie_sequences(
     interactions: Sequence[Interaction],
     pool: ItemPool,
-    threshold: int = DEFAULT_THRESHOLD,
     sample_n: int = DEFAULT_SAMPLE_N,
     seed: int = 0,
 ) -> list[InteractionSequence]:
@@ -64,7 +66,7 @@ def build_movie_sequences(
 
     Eligible targets are positions with at least one preceding interaction;
     ``sample_n`` of them are drawn without replacement with the given seed.
-    Short windows are padded.
+    Windows hold up to ``HISTORY_LENGTH`` items; short ones are padded.
     """
     by_user: dict[str, list[Interaction]] = defaultdict(list)
     for record in sorted(interactions, key=lambda r: (r.user_id, r.timestamp or 0, r.item_id)):
@@ -75,7 +77,7 @@ def build_movie_sequences(
         records = by_user[user_id]
         for position in range(1, len(records)):
             target_id = records[position].item_id
-            window = records[max(0, position - threshold) : position]
+            window = records[max(0, position - HISTORY_LENGTH) : position]
             if target_id not in pool.by_id:
                 continue
             if any(r.item_id == target_id or r.item_id not in pool.by_id for r in window):
@@ -92,8 +94,8 @@ def build_movie_sequences(
     sequences = []
     for user_id, position in chosen:
         records = by_user[user_id]
-        window = records[max(0, position - threshold) : position]
-        history = pad_history([pool.by_id[r.item_id] for r in window], threshold)
+        window = records[max(0, position - HISTORY_LENGTH) : position]
+        history = pad_history([pool.by_id[r.item_id] for r in window], HISTORY_LENGTH)
         target = pool.by_id[records[position].item_id]
         sequences.append(
             InteractionSequence(user_id=user_id, history=tuple(history), target=target)
@@ -104,14 +106,14 @@ def build_movie_sequences(
 def build_book_sequences(
     interactions: Sequence[Interaction],
     pool: ItemPool,
-    threshold: int = DEFAULT_THRESHOLD,
     sample_n: int = DEFAULT_SAMPLE_N,
     seed: int = 0,
 ) -> list[InteractionSequence]:
     """Timestamp-free protocol: random target, random distinct history items.
 
-    Users with fewer than two distinct interacted items are skipped; it is
-    an error if fewer than ``sample_n`` users remain.
+    Histories hold up to ``HISTORY_LENGTH`` items, padded if fewer. Users
+    with fewer than two distinct interacted items are skipped; it is an
+    error if fewer than ``sample_n`` users remain.
     """
     by_user: dict[str, list[str]] = defaultdict(list)
     for record in sorted(interactions, key=lambda r: (r.user_id, r.item_id)):
@@ -131,11 +133,11 @@ def build_book_sequences(
         item_ids = by_user[user_id]
         target_id = rng.choice(item_ids)
         others = [item_id for item_id in item_ids if item_id != target_id]
-        if len(others) >= threshold:
-            history_ids = rng.sample(others, threshold)
+        if len(others) >= HISTORY_LENGTH:
+            history_ids = rng.sample(others, HISTORY_LENGTH)
         else:
             history_ids = rng.sample(others, len(others))
-        history = pad_history([pool.by_id[i] for i in history_ids], threshold)
+        history = pad_history([pool.by_id[i] for i in history_ids], HISTORY_LENGTH)
         sequences.append(
             InteractionSequence(
                 user_id=user_id, history=tuple(history), target=pool.by_id[target_id]
@@ -203,7 +205,6 @@ def run_experiment(
     repeats: int = 3,
     ks: Sequence[int] = DEFAULT_KS,
     max_workers: int = 4,
-    failure_limit: float = 0.05,
     label: str = "",
 ) -> MetricReport:
     """Evaluate every method on every sequence, averaged over repeats.
@@ -211,7 +212,7 @@ def run_experiment(
     Instances are evaluated concurrently within a repeat; aggregation folds
     per-instance records in instance order, so results are independent of
     completion order. A method failing on an instance scores as a miss;
-    the run fails if any method's failure fraction exceeds the limit.
+    the run fails if any method fails on more than 5% of its evaluations.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -275,10 +276,10 @@ def run_experiment(
     }
 
     for name, count in failures.items():
-        if count / denominator > failure_limit:
+        if count / denominator > _METHOD_FAILURE_LIMIT:
             raise TaxRecError(
                 f"method {name!r} failed on {count} of {denominator} evaluations "
-                f"(> {failure_limit:.0%})"
+                f"(> {_METHOD_FAILURE_LIMIT:.0%})"
             )
 
     if repeats > 1:

@@ -13,7 +13,7 @@ import math
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
@@ -127,15 +127,11 @@ def render_direct_recommendation_prompt(domain_label: str, history_text: str, k:
 @dataclass(frozen=True)
 class LlmRequest:
     prompt: str
-    temperature: float = 0.0
     max_output_tokens: int = 1024
-    model_name: str = ""
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
 
@@ -144,7 +140,6 @@ class LlmRequest:
 class LlmResponse:
     text: str
     usage: tuple[int, int] | None = None
-    provider_meta: Mapping[str, Any] = field(default_factory=dict)
 
 
 class Provider(Protocol):
@@ -259,26 +254,27 @@ class HttpChatProvider(HttpJsonClient):
     """Chat-completion over HTTP+JSON, OpenAI-wire-compatible.
 
     POSTs ``{model, messages, temperature, max_tokens}`` to
-    ``<base_url>/chat/completions`` and reads the first choice's message
-    content; retries and errors are :class:`HttpJsonClient`'s.
+    ``<base_url>/chat/completions`` with temperature 0 (greedy decoding)
+    and reads the first choice's message content; retries and errors are
+    :class:`HttpJsonClient`'s.
     """
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         data = self.post("/chat/completions", {
-            "model": request.model_name or self.model_name,
+            "model": self.model_name,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_output_tokens,
         })
+        usage = None
         try:
             text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            usage_obj = data.get("usage") or {}
+            if "prompt_tokens" in usage_obj and "completion_tokens" in usage_obj:
+                usage = (int(usage_obj["prompt_tokens"]), int(usage_obj["completion_tokens"]))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ContentError(f"malformed provider response: {exc}")
-        usage = None
-        usage_obj = data.get("usage") or {}
-        if "prompt_tokens" in usage_obj and "completion_tokens" in usage_obj:
-            usage = (int(usage_obj["prompt_tokens"]), int(usage_obj["completion_tokens"]))
-        return LlmResponse(text=text, usage=usage, provider_meta={"model": data.get("model", self.model_name)})
+        return LlmResponse(text=text, usage=usage)
 
 
 def _retry_after_seconds(value: str | None) -> float | None:
@@ -309,7 +305,7 @@ class ScriptedProvider:
         with self._lock:
             index = min(len(self.calls), len(self.responses) - 1)
             self.calls.append(request)
-        return LlmResponse(text=self.responses[index], provider_meta={"provider": "scripted"})
+        return LlmResponse(text=self.responses[index])
 
 
 # Fixed feature table for the mock provider: 10 features, 4 values each.
@@ -481,5 +477,5 @@ class MockProvider:
         else:
             raise ContentError("mock provider does not recognize this prompt")
         usage = (len(prompt.split()), len(text.split()))
-        return LlmResponse(text=text, usage=usage, provider_meta={"provider": "mock", "seed": self.seed})
+        return LlmResponse(text=text, usage=usage)
 

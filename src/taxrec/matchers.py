@@ -22,6 +22,10 @@ MATCHER_METHODS = ("taxonomy", "bleu", "rouge", "embedding", "exact_title")
 # Methods that rank the raw reply text instead of a parsed feature set.
 FREEFORM_METHODS = tuple(method for method in MATCHER_METHODS if method != "taxonomy")
 
+# Highest n-gram order BLEU counts, and the width of HashEmbedder vectors.
+_BLEU_ORDER = 4
+_HASH_EMBEDDING_DIM = 64
+
 
 def tokenize(text: str) -> list[str]:
     return normalize_text(text).split()
@@ -36,15 +40,15 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 # per title. The public per-title functions are the one-title case.
 
 
-def _bleu_against(reference: str, max_order: int = 4) -> Callable[[str], float]:
+def _bleu_against(reference: str) -> Callable[[str], float]:
     ref = tokenize(reference)
-    ref_counts = [_ngram_counts(ref, n) for n in range(1, max_order + 1)]
+    ref_counts = [_ngram_counts(ref, n) for n in range(1, _BLEU_ORDER + 1)]
 
     def score(candidate: str) -> float:
         cand = tokenize(candidate)
         if not cand or not ref:
             return 0.0
-        order = min(max_order, len(cand))
+        order = min(_BLEU_ORDER, len(cand))
         log_sum = 0.0
         for n in range(1, order + 1):
             cand_counts = _ngram_counts(cand, n)
@@ -66,14 +70,14 @@ def _bleu_against(reference: str, max_order: int = 4) -> Callable[[str], float]:
     return score
 
 
-def bleu_score(candidate: str, reference: str, max_order: int = 4) -> float:
+def bleu_score(candidate: str, reference: str) -> float:
     """Smoothed sentence-level BLEU of ``candidate`` against ``reference``.
 
-    Uniform weights over orders 1..min(max_order, |candidate|); zero
-    precisions are smoothed by adding 0.1 to the numerator, so identical
-    strings score exactly 1.0 at any length.
+    Uniform weights over orders 1..min(4, |candidate|); zero precisions are
+    smoothed by adding 0.1 to the numerator, so identical strings score
+    exactly 1.0 at any length.
     """
-    return _bleu_against(reference, max_order)(candidate)
+    return _bleu_against(reference)(candidate)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -197,8 +201,7 @@ class HashEmbedder:
     yield similarity; nothing more is claimed.
     """
 
-    def __init__(self, dim: int = 64, seed: int = 0) -> None:
-        self.dim = dim
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
     def _token_vector(self, token: str) -> np.ndarray:
@@ -206,7 +209,7 @@ class HashEmbedder:
 
         digest = hashlib.sha256(f"{self.seed}|{token}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        vector = rng.standard_normal(self.dim)
+        vector = rng.standard_normal(_HASH_EMBEDDING_DIM)
         return vector / np.linalg.norm(vector)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
@@ -214,7 +217,7 @@ class HashEmbedder:
         for text in texts:
             tokens = tokenize(text)
             if not tokens:
-                vectors.append([0.0] * self.dim)
+                vectors.append([0.0] * _HASH_EMBEDDING_DIM)
                 continue
             total = np.sum([self._token_vector(t) for t in tokens], axis=0)
             norm = np.linalg.norm(total)

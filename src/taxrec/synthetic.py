@@ -22,6 +22,7 @@ _NOUNS = (
     "Meridian", "Lantern", "Tide", "Labyrinth", "Sparrow", "Engine",
     "Garden", "Frontier", "Letter", "Mirror",
 )
+_CLUSTERS = 8
 
 
 def make_synthetic_dataset(
@@ -30,14 +31,14 @@ def make_synthetic_dataset(
     interactions_per_user: int = 25,
     seed: int = 0,
     concentration: float = 0.8,
-    n_clusters: int = 8,
     domain_label: str = "book",
 ) -> tuple[ItemPool, list[Interaction]]:
     """Generate a seeded item pool and interaction log.
 
-    ``concentration`` is the probability that an interaction stays inside
-    the user's preferred item cluster; timestamps are the per-user step
-    index, and no user interacts with the same item twice.
+    Items are dealt round-robin into 8 clusters. ``concentration`` is the
+    probability that an interaction stays inside the user's preferred
+    cluster; timestamps are the per-user step index, and no user interacts
+    with the same item twice.
     """
     if not 0.0 <= concentration <= 1.0:
         raise ValueError("concentration must be in [0, 1]")
@@ -52,14 +53,14 @@ def make_synthetic_dataset(
         items.append(Item(id=f"s{index:04d}", title=f"The {adjective} {noun} {index + 1}"))
     pool = ItemPool(domain_label=domain_label, items=tuple(items))
 
-    clusters: list[list[str]] = [[] for _ in range(n_clusters)]
+    clusters: list[list[str]] = [[] for _ in range(_CLUSTERS)]
     for index, item in enumerate(items):
-        clusters[index % n_clusters].append(item.id)
+        clusters[index % _CLUSTERS].append(item.id)
 
     interactions = []
     for user_index in range(n_users):
         user_id = f"u{user_index:04d}"
-        preferred = clusters[rng.randrange(n_clusters)]
+        preferred = clusters[rng.randrange(_CLUSTERS)]
         seen: set[str] = set()
         step = 0
         while step < interactions_per_user:

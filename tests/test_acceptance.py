@@ -7,6 +7,7 @@ on disk (set TAXREC_ML100K_DIR or place it under tests/data/ml-100k).
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import time
@@ -151,6 +152,24 @@ def test_criterion_04_end_to_end_mock_determinism(tmp_path, monkeypatch):
     bytes_b = (tmp_path / "runB" / "report.json").read_bytes()
     assert bytes_a == bytes_b
     assert elapsed < 60.0, f"two evaluation runs took {elapsed:.1f}s"
+
+
+# sha256 of the criterion-04 outputs. A change that moves these bytes on
+# purpose updates the digests and says why in CHANGES.md.
+CRITERION_04_SHA256 = {
+    "report.json": "64a35bf547be8369b4a09e75cbd8a599db744c084e6c28b5762dd302c531dd95",
+    "table.txt": "1a7eb4ddcdace79c2979b7c9feb0e32d87c654150da81e51d7b8ab85112b5c20",
+}
+
+
+def test_criterion_04_report_bytes_pinned(tmp_path, monkeypatch):
+    """The seeded synthetic evaluation writes exactly the recorded bytes."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_main(EVAL_ARGS + ["--cache-dir", "cache", "--out", "run"]) == 0
+    for name, digest in CRITERION_04_SHA256.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_criterion_05_known_answer_direction():

@@ -14,7 +14,6 @@ from taxrec.catalog import (
     _append_cache_record,
     Interaction,
     ItemPool,
-    categorize_item,
     categorize_pool,
     item_prompt_text,
     load_bookcrossing,
@@ -22,7 +21,7 @@ from taxrec.catalog import (
     load_movielens,
 )
 from taxrec.core import CategorizedItem, FeaturePair, Item
-from taxrec.errors import ParseError, TaxRecError
+from taxrec.errors import TaxRecError
 from taxrec.gateway import LINE_REMINDER, ScriptedProvider
 from taxrec.taxonomy import truncate_features
 
@@ -87,15 +86,6 @@ class TestLoadMovielens:
         with pytest.warns(UserWarning, match="1 malformed"):
             pool, _ = load_movielens(tmp_path)
         assert len(pool.items) == 200
-
-    def test_custom_delimiters(self, tmp_path):
-        (tmp_path / "u.item").write_text("1::Toy Story (1995)::x\n", encoding="latin-1")
-        (tmp_path / "u.data").write_text("1,1,5,100\n", encoding="latin-1")
-        pool, interactions = load_movielens(
-            tmp_path, item_delimiter="::", data_delimiter=","
-        )
-        assert pool.by_id["1"].title == "Toy Story (1995)"
-        assert interactions[0].rating == 5.0
 
     def test_latin1_titles(self, tmp_path):
         write_movielens(tmp_path, ["1|Am\xe9lie (2001)|"], ["1\t1\t5\t1"])
@@ -177,42 +167,54 @@ class TestItemPromptText:
         assert item_prompt_text(item) == "Emma (Jane Austen, M)"
 
 
+def categorize_one(provider, item, taxonomy, cache_dir, stats=None) -> CategorizedItem:
+    """Categorize ``item`` as a one-item pool and return its entry."""
+    pool = ItemPool(domain_label="book", items=(item,))
+    return categorize_pool(provider, pool, taxonomy, cache_dir, stats=stats).entries[item.id]
+
+
 class TestCategorizeItem:
     def test_mock_gives_one_pair_per_feature(self, mock7, tmp_path):
         from taxrec.taxonomy import generate_taxonomy
 
         doc = generate_taxonomy(mock7, "book", tmp_path)
-        categorized = categorize_item(mock7, Item(id="1", title="1984"), doc.taxonomy)
+        categorized = categorize_one(mock7, Item(id="1", title="1984"), doc.taxonomy, tmp_path)
         assert len(categorized.pairs) == 10
         assert {pair.key for pair in categorized.pairs} == set(doc.taxonomy.feature_names)
 
-    def test_unknown_key_dropped_and_counted(self, small_taxonomy):
+    def test_unknown_key_dropped_and_counted(self, small_taxonomy, tmp_path):
         provider = ScriptedProvider(["genre: Fiction\nmood: Gloomy"])
         stats = CategorizeStats()
-        categorized = categorize_item(
-            provider, Item(id="1", title="1984"), small_taxonomy, stats=stats
+        categorized = categorize_one(
+            provider, Item(id="1", title="1984"), small_taxonomy, tmp_path, stats=stats
         )
         assert categorized.pairs == frozenset({FeaturePair("genre", "fiction")})
         assert stats.dropped_pairs == 1
 
-    def test_out_of_list_value_kept(self, small_taxonomy):
+    def test_out_of_list_value_kept(self, small_taxonomy, tmp_path):
         provider = ScriptedProvider(["genre: Cyberpunk"])
-        categorized = categorize_item(provider, Item(id="1", title="X"), small_taxonomy)
+        categorized = categorize_one(provider, Item(id="1", title="X"), small_taxonomy, tmp_path)
         assert categorized.pairs == frozenset({FeaturePair("genre", "cyberpunk")})
 
-    def test_reask_once_then_success(self, small_taxonomy):
+    def test_reask_once_then_success(self, small_taxonomy, tmp_path):
         provider = ScriptedProvider(["no pairs here at all", "genre: fiction"])
-        categorized = categorize_item(provider, Item(id="1", title="X"), small_taxonomy)
+        categorized = categorize_one(provider, Item(id="1", title="X"), small_taxonomy, tmp_path)
         assert categorized.pairs == frozenset({FeaturePair("genre", "fiction")})
         assert len(provider.calls) == 2
         assert "feature: value" in provider.calls[1].prompt
         assert provider.calls[1].prompt.endswith(LINE_REMINDER)
         assert provider.calls[1].max_output_tokens == provider.calls[0].max_output_tokens == 512
 
-    def test_reask_failure_is_parse_error(self, small_taxonomy):
+    def test_reask_failure_is_parse_error(self, small_taxonomy, tmp_path):
         provider = ScriptedProvider(["nothing", "still nothing"])
-        with pytest.raises(ParseError):
-            categorize_item(provider, Item(id="1", title="X"), small_taxonomy)
+        stats = CategorizeStats()
+        with pytest.raises(TaxRecError, match="no feature pairs parsed"):
+            categorize_one(provider, Item(id="1", title="X"), small_taxonomy, tmp_path, stats=stats)
+        assert len(provider.calls) == 2
+        assert len(stats.failures) == 1
+        item_id, message = stats.failures[0]
+        assert item_id == "1"
+        assert "no feature pairs parsed" in message
 
 
 def small_pool(n: int) -> ItemPool:
@@ -279,9 +281,29 @@ class TestCategorizePool:
                 return ScriptedProvider(["genre: fiction"]).complete(request)
 
         cpool = categorize_pool(
-            FlakyProvider(), pool, small_taxonomy, tmp_path, max_workers=1, failure_threshold=0.02
+            FlakyProvider(), pool, small_taxonomy, tmp_path, max_workers=1
         )
         assert cpool.coverage == pytest.approx(0.99)
+
+    def test_torn_last_line_resumes_on_a_fresh_line(self, tmp_path, mock7, small_taxonomy):
+        # A run killed mid-write leaves the last record without its newline.
+        categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
+        cache_path = tmp_path / "book" / "items.jsonl"
+        cache_path.write_bytes(cache_path.read_bytes()[:-40])
+
+        counting = CountingProvider(mock7)
+        categorize_pool(counting, small_pool(10), small_taxonomy, tmp_path)
+        assert counting.calls == 6  # the torn item plus five new ones
+
+        counting = CountingProvider(mock7)
+        cpool = categorize_pool(counting, small_pool(10), small_taxonomy, tmp_path)
+        assert counting.calls == 0
+        assert cpool.coverage == 1.0
+        lines = cache_path.read_text().splitlines()
+        assert len(lines) == 11  # the torn line stays, alone on its line
+        assert [json.loads(line)["item_id"] for line in lines[:4] + lines[5:]] == [
+            f"i{index:03d}" for index in range(10)
+        ]
 
     def test_feature_count_change_invalidates_cache(self, tmp_path, mock7, small_taxonomy):
         pool = small_pool(10)

@@ -69,7 +69,7 @@ def _movie_fixture(n_interactions: int = 15):
 class TestBuildMovieSequences:
     def test_window_immediately_before_target(self):
         pool, interactions = _movie_fixture(15)
-        sequences = build_movie_sequences(interactions, pool, threshold=10, sample_n=14, seed=0)
+        sequences = build_movie_sequences(interactions, pool, sample_n=14, seed=0)
         # Target at (1-based) position 12 is item index 11; its history is
         # positions 2..11, i.e. item indices 1..10.
         by_target = {seq.target.id: seq for seq in sequences}
@@ -78,7 +78,7 @@ class TestBuildMovieSequences:
 
     def test_short_window_padded(self):
         pool, interactions = _movie_fixture(15)
-        sequences = build_movie_sequences(interactions, pool, threshold=10, sample_n=14, seed=0)
+        sequences = build_movie_sequences(interactions, pool, sample_n=14, seed=0)
         by_target = {seq.target.id: seq for seq in sequences}
         seq = by_target["i003"]  # target at position 4: three prior interactions
         assert [item.id for item in seq.history[:3]] == ["i000", "i001", "i002"]
@@ -129,14 +129,14 @@ class TestBuildBookSequences:
     def test_threshold_plus_one_forces_full_history(self):
         items = [f"b{index}" for index in range(11)]
         pool, interactions = self._fixture({"u1": items})
-        sequences = build_book_sequences(interactions, pool, threshold=10, sample_n=1, seed=4)
+        sequences = build_book_sequences(interactions, pool, sample_n=1, seed=4)
         seq = sequences[0]
         assert sorted({item.id for item in seq.history} | {seq.target.id}) == sorted(items)
         assert len(seq.history) == 10
 
     def test_short_user_padded(self):
         pool, interactions = self._fixture({"u1": ["a", "b", "c"]})
-        sequences = build_book_sequences(interactions, pool, threshold=10, sample_n=1, seed=0)
+        sequences = build_book_sequences(interactions, pool, sample_n=1, seed=0)
         assert len(sequences[0].history) == 10
 
     def test_users_below_two_interactions_skipped(self):

@@ -208,9 +208,16 @@ class TestHttpChatProvider:
         with pytest.raises(ContentError):
             provider.complete(LlmRequest(prompt="hi"))
 
+    @pytest.mark.parametrize("prompt_tokens", ["n/a", None])
+    def test_malformed_usage_is_content_error(self, prompt_tokens):
+        usage = {"prompt_tokens": prompt_tokens, "completion_tokens": 2}
+        provider = _provider([(200, {**_ok_body(), "usage": usage})])
+        with pytest.raises(ContentError, match="malformed provider response"):
+            provider.complete(LlmRequest(prompt="hi"))
+
     def test_request_body_shape(self):
         provider = _provider([(200, _ok_body())])
-        provider.complete(LlmRequest(prompt="hi", temperature=0.0, max_output_tokens=64))
+        provider.complete(LlmRequest(prompt="hi", max_output_tokens=64))
         body = provider._session.bodies[0]
         assert body == {
             "model": "fake",

@@ -156,11 +156,11 @@ class TestEmbeddingMatcher:
 
 class TestHashEmbedder:
     def test_deterministic(self):
-        first = HashEmbedder(dim=16, seed=1).embed(["some title"])
-        second = HashEmbedder(dim=16, seed=1).embed(["some title"])
+        first = HashEmbedder(seed=1).embed(["some title"])
+        second = HashEmbedder(seed=1).embed(["some title"])
         assert first == second
 
     def test_shared_tokens_more_similar(self):
-        embedder = HashEmbedder(dim=64, seed=0)
+        embedder = HashEmbedder(seed=0)
         a, b, c = embedder.embed(["red river tale", "red river saga", "quantum biology"])
         assert cosine_similarity(a, b) > cosine_similarity(a, c)
