@@ -22,6 +22,7 @@ from . import gateway
 from ._textparse import extract_pairs
 from .core import CategorizedItem, FeaturePair, Item, Taxonomy, normalize_text
 from .errors import ParseError, TaxRecError
+from .matchers import TitleTable
 from .taxonomy import taxonomy_fingerprint, taxonomy_to_prompt_text
 
 _MALFORMED_LINE_LIMIT = 0.01
@@ -56,9 +57,9 @@ class ItemPool:
         return {item.id: item for item in self.items}
 
     @cached_property
-    def titles(self) -> Mapping[str, str]:
-        """Item id -> raw title, in pool order: what the free-text matchers score."""
-        return {item.id: item.title for item in self.items}
+    def titles(self) -> TitleTable:
+        """Item id -> raw title, in pool order, each title prepared once for the free-text matchers."""
+        return TitleTable({item.id: item.title for item in self.items})
 
 
 @dataclass(frozen=True)
@@ -307,18 +308,20 @@ def _load_cached_entries(
             line = line.strip()
             if not line:
                 continue
+            # A torn line (JSONDecodeError is a ValueError) or a record of
+            # the wrong shape is skipped; its item is categorized again.
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+                if record.get("taxonomy_fingerprint") != fingerprint:
+                    continue
+                item = by_id.get(record.get("item_id"))
+                if item is None:
+                    continue
+                pairs = frozenset(
+                    FeaturePair(p["key"], p["value"]) for p in record.get("pairs", [])
+                )
+            except (AttributeError, KeyError, TypeError, ValueError):
                 continue
-            if record.get("taxonomy_fingerprint") != fingerprint:
-                continue
-            item = by_id.get(record.get("item_id"))
-            if item is None:
-                continue
-            pairs = frozenset(
-                FeaturePair(p["key"], p["value"]) for p in record.get("pairs", [])
-            )
             if pairs:
                 entries[item.id] = CategorizedItem(item=item, pairs=pairs)
     return entries

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -35,17 +35,48 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+class TitleTable(Mapping[str, str]):
+    """Read-only item id -> raw title, in pool order, with each title prepared once.
+
+    ``normalized`` holds each title's :func:`~taxrec.core.normalize_text`
+    form (what ``exact_title`` matches) and ``tokens`` its word tokens (what
+    ``bleu`` and ``rouge`` score), both in the same order as the ids.
+    :attr:`taxrec.catalog.ItemPool.titles` builds one per pool, so a pool's
+    titles are prepared once, not once per request.
+    """
+
+    __slots__ = ("_titles", "normalized", "tokens")
+
+    def __init__(self, titles: Mapping[str, str]) -> None:
+        self._titles = dict(titles)
+        self.normalized = tuple(map(normalize_text, self._titles.values()))
+        self.tokens = tuple(tuple(title.split()) for title in self.normalized)
+
+    def __getitem__(self, item_id: str) -> str:
+        return self._titles[item_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._titles)
+
+    def __len__(self) -> int:
+        return len(self._titles)
+
+    def __repr__(self) -> str:
+        return f"TitleTable({self._titles!r})"
+
+
 # Each ``_*_against(text)`` reads the reply once and returns the per-title
-# scorer, so scoring a pool prepares the reply once per request, not once
-# per title. The public per-title functions are the one-title case.
+# scorer, so scoring a pool prepares the reply once per request. A scorer
+# takes the prepared title (its tokens, or its normalized form for
+# ``exact_title``), which a :class:`TitleTable` holds once per pool. The
+# public per-title functions are the one-title case.
 
 
-def _bleu_against(reference: str) -> Callable[[str], float]:
+def _bleu_against(reference: str) -> Callable[[Sequence[str]], float]:
     ref = tokenize(reference)
     ref_counts = [_ngram_counts(ref, n) for n in range(1, _BLEU_ORDER + 1)]
 
-    def score(candidate: str) -> float:
-        cand = tokenize(candidate)
+    def score(cand: Sequence[str]) -> float:
         if not cand or not ref:
             return 0.0
         order = min(_BLEU_ORDER, len(cand))
@@ -77,7 +108,7 @@ def bleu_score(candidate: str, reference: str) -> float:
     smoothed by adding 0.1 to the numerator, so identical strings score
     exactly 1.0 at any length.
     """
-    return _bleu_against(reference)(candidate)
+    return _bleu_against(reference)(tokenize(candidate))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -95,11 +126,10 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return previous[-1]
 
 
-def _rouge_against(reference: str) -> Callable[[str], float]:
+def _rouge_against(reference: str) -> Callable[[Sequence[str]], float]:
     ref = tokenize(reference)
 
-    def score(candidate: str) -> float:
-        cand = tokenize(candidate)
+    def score(cand: Sequence[str]) -> float:
         lcs = _lcs_length(cand, ref)
         if lcs == 0:
             return 0.0
@@ -112,7 +142,7 @@ def _rouge_against(reference: str) -> Callable[[str], float]:
 
 def rouge_l_f1(candidate: str, reference: str) -> float:
     """ROUGE-L F1 (longest common subsequence over word tokens)."""
-    return _rouge_against(reference)(candidate)
+    return _rouge_against(reference)(tokenize(candidate))
 
 
 def _is_word_char(char: str) -> bool:
@@ -123,8 +153,7 @@ def _exact_title_against(text: str) -> Callable[[str], float]:
     haystack = normalize_text(text)
     end = len(haystack)
 
-    def score(title: str) -> float:
-        needle = normalize_text(title)
+    def score(needle: str) -> float:
         if not needle or needle not in haystack:
             return 0.0
         start = haystack.find(needle)
@@ -146,7 +175,7 @@ def exact_title_score(title: str, text: str) -> float:
     An occurrence counts only when the characters on either side of it are
     not word characters (alphanumeric or ``_``) or are the ends of the text.
     """
-    return _exact_title_against(text)(title)
+    return _exact_title_against(text)(normalize_text(title))
 
 
 class Embedder(Protocol):
@@ -245,7 +274,9 @@ def score_titles_against_text(
     """Score every (item id, title) against free text with the given method.
 
     Returns one (id, score) per item in input order; ranking and tie-breaks
-    happen downstream.
+    happen downstream. The string matchers read the titles prepared by a
+    :class:`TitleTable` (such as ``ItemPool.titles``); any other mapping is
+    wrapped in one for this call.
     """
     if method not in FREEFORM_METHODS:
         raise ValueError(f"unknown free-text matcher {method!r}; expected one of {FREEFORM_METHODS}")
@@ -256,10 +287,12 @@ def score_titles_against_text(
         vectors = embedder.embed([titles[i] for i in ids] + [text])
         text_vector = vectors[-1]
         return [(item_id, cosine_similarity(vec, text_vector)) for item_id, vec in zip(ids, vectors)]
+    if not isinstance(titles, TitleTable):
+        titles = TitleTable(titles)
     if method == "bleu":
-        scorer = _bleu_against(text)
+        scores = map(_bleu_against(text), titles.tokens)
     elif method == "rouge":
-        scorer = _rouge_against(text)
+        scores = map(_rouge_against(text), titles.tokens)
     else:
-        scorer = _exact_title_against(text)
-    return [(item_id, scorer(title)) for item_id, title in titles.items()]
+        scores = map(_exact_title_against(text), titles.normalized)
+    return list(zip(titles, scores))

@@ -80,19 +80,6 @@ def categorize_history(
     return [pool.entries[item.id] for item in history]
 
 
-def _ordered_pairs(
-    categorized: CategorizedItem, taxonomy: Taxonomy
-) -> list[tuple[str, list[str]]]:
-    by_key: dict[str, list[str]] = {}
-    for pair in categorized.pairs:
-        by_key.setdefault(pair.key, []).append(pair.value)
-    ordered = []
-    for name in taxonomy.feature_names:
-        if name in by_key:
-            ordered.append((name, sorted(by_key[name])))
-    return ordered
-
-
 def history_to_prompt_text(
     hc: Sequence[CategorizedItem], cfg: RecommendConfig, taxonomy: Taxonomy
 ) -> str:
@@ -102,12 +89,15 @@ def history_to_prompt_text(
     list alone. Pairs for features outside the (possibly truncated)
     taxonomy are omitted.
     """
+    names = taxonomy.feature_names
     lines = []
     for categorized in hc:
-        segments = [
-            f"{name}: {', '.join(values)}" for name, values in _ordered_pairs(categorized, taxonomy)
-        ]
-        feature_text = "; ".join(segments)
+        by_key: dict[str, list[str]] = {}
+        for key, value in categorized.pairs:
+            by_key.setdefault(key, []).append(value)
+        feature_text = "; ".join(
+            [f"{name}: {', '.join(sorted(by_key[name]))}" for name in names if name in by_key]
+        )
         if cfg.history_with_titles:
             line = f"{categorized.item.title}{gateway.TITLE_SEPARATOR}{feature_text}" if feature_text else categorized.item.title
         else:

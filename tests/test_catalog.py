@@ -305,6 +305,23 @@ class TestCategorizePool:
             f"i{index:03d}" for index in range(10)
         ]
 
+    def test_malformed_record_lines_are_skipped(self, tmp_path, mock7, small_taxonomy):
+        # Lines that parse as JSON but are not well-formed records.
+        categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
+        cache_path = tmp_path / "book" / "items.jsonl"
+        lines = cache_path.read_text().splitlines()
+        good = json.loads(lines.pop())
+        no_value = dict(good, pairs=[{"key": "genre"}])
+        empty_value = dict(good, pairs=[{"key": "genre", "value": ""}])
+        string_pairs = dict(good, pairs="x")
+        lines += [json.dumps(record) for record in ([1, 2], no_value, empty_value, string_pairs)]
+        cache_path.write_text("\n".join(lines) + "\n")
+
+        counting = CountingProvider(mock7)
+        cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
+        assert counting.calls == 1  # the item whose only records are malformed
+        assert cpool.coverage == 1.0
+
     def test_feature_count_change_invalidates_cache(self, tmp_path, mock7, small_taxonomy):
         pool = small_pool(10)
         categorize_pool(mock7, pool, small_taxonomy, tmp_path)

@@ -6,6 +6,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taxrec import matchers
+from taxrec.catalog import ItemPool
+from taxrec.core import Item, normalize_text
 from taxrec.errors import TaxRecError
 from taxrec.matchers import (
     HashEmbedder,
@@ -117,6 +120,43 @@ class TestScoreTitlesAgainstText:
         for method, score in per_title.items():
             expected = [(item_id, score(title)) for item_id, title in by_id.items()]
             assert score_titles_against_text(by_id, text, method) == expected
+
+
+def _pool(titles):
+    return ItemPool(
+        domain_label="book",
+        items=tuple(Item(id=f"i{index}", title=title) for index, title in enumerate(titles)),
+    )
+
+
+class TestPoolTitleTable:
+    def test_request_normalizes_the_reply_only(self, monkeypatch):
+        pool = _pool([f"Work {index}" for index in range(50)])
+        assert pool.titles is pool.titles
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return normalize_text(raw)
+
+        monkeypatch.setattr(matchers, "normalize_text", counting)
+        scores = score_titles_against_text(pool.titles, "I suggest Work 7.", "exact_title")
+        assert calls == ["I suggest Work 7."]
+        assert [item_id for item_id, score in scores if score] == ["i7"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        titles=st.lists(_phrases(max_words=5), min_size=1, max_size=8),
+        text=_phrases(max_words=30),
+        quoted=st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+    )
+    def test_pool_table_equals_per_title_function(self, titles, text, quoted):
+        text = " ".join([text] + [titles[i] for i in quoted if i < len(titles)])
+        pool = _pool(titles)
+        per_title = {"bleu": bleu_score, "rouge": rouge_l_f1, "exact_title": exact_title_score}
+        for method, score in per_title.items():
+            expected = [(item.id, score(item.title, text)) for item in pool.items]
+            assert score_titles_against_text(pool.titles, text, method) == expected
 
 
 class OneHotEmbedder:
