@@ -1,32 +1,37 @@
-"""Tolerant extraction of structured content from LLM free text.
+"""The reply grammar: one decoder for every model reply.
 
-Providers wrap useful output in prose, code fences, bullets, and numbering.
-These helpers strip the wrapping and surface either a JSON object or
-key-value pairs; callers normalize and filter what comes back.
+Providers answer in the taxonomy's ``feature: value`` format, often as a
+JSON object, and wrap it in prose, code fences, bullets and numbering.
+:func:`reply_entries` reads either form into ``(key, [values])`` entries;
+callers normalize and filter what comes back.
 """
 from __future__ import annotations
 
 import json
 import re
 
-_BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s+")
-_FENCE_RE = re.compile(r"^\s*```")
+Entry = tuple[str, list[str]]
+
+# Leading whitespace, then a code-fence marker (group 1) or a bullet or number.
+_PREFIX_RE = re.compile(r"\s*(?:(```)|(?:[-*•]|\d+[.)])\s+)?")
 
 
 def iter_content_lines(text: str) -> list[str]:
     """Non-empty lines with code-fence markers and bullet/number prefixes removed."""
     lines: list[str] = []
     for raw_line in text.splitlines():
-        if _FENCE_RE.match(raw_line):
+        prefix = _PREFIX_RE.match(raw_line)
+        if prefix.group(1):
             continue
-        line = _BULLET_RE.sub("", raw_line).strip()
+        line = raw_line[prefix.end() :].strip()
         if line:
             lines.append(line)
     return lines
 
 
-def extract_json_object(text: str) -> dict | None:
-    """First well-formed JSON object embedded anywhere in ``text``, or None.
+def extract_json_object(text: str) -> tuple[dict, int, int] | None:
+    """First well-formed JSON object embedded anywhere in ``text`` and its
+    ``start, end`` span, or None.
 
     Scans balanced ``{...}`` spans so surrounding prose and code fences are
     tolerated.
@@ -59,79 +64,90 @@ def extract_json_object(text: str) -> dict | None:
                 except json.JSONDecodeError:
                     continue
                 if isinstance(obj, dict):
-                    return obj
+                    return obj, start, pos + 1
     return None
 
 
-def split_values(value_text: str) -> list[str]:
+def _split_values(value_text: str) -> list[str]:
     """Split a multi-valued right-hand side ("v1, v2") into raw values."""
-    return [part for part in (p.strip() for p in value_text.split(",")) if part]
+    return [part for part in map(str.strip, value_text.split(",")) if part]
 
 
-def feature_lines(text: str) -> list[tuple[str, list[str]]]:
-    """``name: v1, v2`` lines as (name, values), in order of appearance.
+def reply_entries(text: str) -> list[Entry]:
+    """``(key, [values])`` entries of a model reply, in order of appearance.
 
-    This is the canonical taxonomy rendering. Lines without a colon, a name
-    or any value are skipped.
+    An embedded JSON object that holds at least one entry wins (a JSON blob
+    read as lines would shred); otherwise the reply around the object is
+    read as lines.
     """
-    features: list[tuple[str, list[str]]] = []
-    for line in text.splitlines():
-        name, _, values_text = line.partition(":")
-        values = split_values(values_text)
-        if name.strip() and values:
-            features.append((name.strip(), values))
-    return features
+    found = extract_json_object(text)
+    if found is None:
+        return line_entries(text)
+    obj, start, end = found
+    return _json_entries(obj) or line_entries(f"{text[:start]}\n{text[end:]}")
 
 
-def extract_kv_pairs(text: str) -> list[tuple[str, str]]:
-    """Key-value pairs from free text, in order of appearance.
+def _json_entries(obj: dict) -> list[Entry]:
+    """Entries of a flat mapping, of a mapping or feature list under one
+    ``taxonomy``/``features`` wrapper key, or of a ``features`` list of
+    ``{"name", "values"}`` objects."""
+    body: dict | list = obj
+    if len(obj) == 1:
+        ((key, inner),) = obj.items()
+        if key in ("taxonomy", "features") and (isinstance(inner, dict) or _is_feature_list(inner)):
+            body = inner
+    if isinstance(body, dict) and _is_feature_list(body.get("features")):
+        body = body["features"]
+    if isinstance(body, dict):
+        pairs = body.items()
+    else:
+        pairs = [
+            (entry.get("name") or entry.get("feature"), entry.get("values") or entry.get("value"))
+            for entry in body
+            if isinstance(entry, dict)
+        ]
+    entries: list[Entry] = []
+    for key, value in pairs:
+        key = "" if key is None else str(key).strip()
+        values = _json_values(value)
+        if key and values:
+            entries.append((key, values))
+    return entries
 
-    Accepts ``key: value`` lines, bulleted and numbered variants, several
-    ``key: value`` segments joined by semicolons on one line, and
-    multi-valued ``key: v1, v2`` right-hand sides (one pair per value).
-    Lines without a usable colon are skipped.
+
+def _is_feature_list(value: object) -> bool:
+    return isinstance(value, list) and any(isinstance(entry, dict) for entry in value)
+
+
+def _json_values(value: object) -> list[str]:
+    """Raw values of one JSON entry: lists flatten, a dict gives its keys,
+    and a scalar is split on commas like a line's right-hand side."""
+    if isinstance(value, dict):
+        value = list(value)
+    if isinstance(value, list):
+        return [raw for element in value for raw in _json_values(element)]
+    return [] if value is None else _split_values(str(value))
+
+
+def line_entries(text: str) -> list[Entry]:
+    """Entries of ``key: v1, v2`` lines.
+
+    Fences are skipped, bullets and numbering stripped, and several
+    ``key: value`` segments may share a line, joined by semicolons.
+    Segments without a colon, a key or any value are skipped.
     """
-    pairs: list[tuple[str, str]] = []
+    entries: list[Entry] = []
     for line in iter_content_lines(text):
         for segment in line.split(";"):
-            segment = segment.strip()
-            if ":" not in segment:
-                continue
-            key, _, value_text = segment.partition(":")
+            key, colon, value_text = segment.partition(":")
             key = key.strip()
-            # A plausible feature key is short; sentences with a stray
-            # colon ("note: the following...") still slip through and are
-            # dropped later by the taxonomy-name filter.
-            if not key or len(key.split()) > 6:
+            # A plausible feature key is short. A prose line whose key has
+            # six words or fewer ("note: the following...") still slips
+            # through: replies drop it with the taxonomy-name filter, but a
+            # line-form taxonomy keeps it as a feature.
+            if not colon or not key or len(key.split()) > 6:
                 continue
-            for value in split_values(value_text):
-                pairs.append((key, value))
-    return pairs
-
-
-def pairs_from_json(text: str) -> list[tuple[str, str]]:
-    """Key-value pairs from an embedded JSON object, if any.
-
-    Values may be scalars or arrays; arrays expand to one pair per element.
-    """
-    obj = extract_json_object(text)
-    if obj is None:
-        return []
-    pairs: list[tuple[str, str]] = []
-    for key, value in obj.items():
-        if isinstance(value, (list, tuple)):
-            for element in value:
-                pairs.append((str(key), str(element)))
-        elif isinstance(value, (str, int, float, bool)):
-            pairs.append((str(key), str(value)))
-    return pairs
-
-
-def extract_pairs(text: str) -> list[tuple[str, str]]:
-    """Key-value pairs from free text, preferring an embedded JSON object.
-
-    A well-formed JSON object wins over line parsing (a JSON blob read as
-    lines would shred); otherwise fall back to key-value lines.
-    """
-    json_pairs = pairs_from_json(text)
-    return json_pairs if json_pairs else extract_kv_pairs(text)
+            values = _split_values(value_text)
+            if values:
+                entries.append((key, values))
+    return entries

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping
 
 from . import gateway
-from ._textparse import extract_pairs
+from ._textparse import reply_entries
 from .core import CategorizedItem, FeaturePair, Item, Taxonomy, normalize_text
 from .errors import ParseError, TaxRecError
 from .matchers import TitleTable
@@ -246,21 +246,23 @@ def item_prompt_text(item: Item) -> str:
 def filter_pairs(
     text: str, allowed: Collection[str], stats: CategorizeStats | None = None
 ) -> frozenset[FeaturePair]:
-    """Normalized feature pairs in ``text`` whose key is in ``allowed``.
+    """Normalized feature pairs of the reply ``text`` whose key is in ``allowed``.
 
     Pairs with another key are dropped and counted in ``stats``.
     """
     kept: set[FeaturePair] = set()
-    for raw_key, raw_value in extract_pairs(text):
+    for raw_key, raw_values in reply_entries(text):
         key = normalize_text(raw_key)
-        value = normalize_text(raw_value)
-        if not key or not value:
+        if not key:
             continue
-        if key not in allowed:
-            if stats is not None:
-                stats.count_dropped()
-            continue
-        kept.add(FeaturePair(key, value))
+        for value in map(normalize_text, raw_values):
+            if not value:
+                continue
+            if key not in allowed:
+                if stats is not None:
+                    stats.count_dropped()
+                continue
+            kept.add(FeaturePair(key, value))
     return frozenset(kept)
 
 

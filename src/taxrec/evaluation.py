@@ -374,16 +374,20 @@ def load_external_results(path: Path) -> tuple[str, MethodFn]:
 
     The file holds ``{"method": name, "instances": [{"user_id",
     "target_id", "ranking": [[item_id, score], ...]}]}``; instances are
-    matched to sequences by (user_id, target_id).
+    matched to sequences by (user_id, target_id). A file of another shape
+    is a :class:`TaxRecError` naming it.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    name = payload["method"]
     table: dict[tuple[str, str], RankedList] = {}
-    for instance in payload["instances"]:
-        entries = tuple((str(item_id), float(score)) for item_id, score in instance["ranking"])
-        table[(instance["user_id"], instance["target_id"])] = RankedList(
-            entries=entries, k=max(len(entries), DEFAULT_KS[-1])
-        )
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        name = payload["method"]
+        for instance in payload["instances"]:
+            entries = tuple((str(item_id), float(score)) for item_id, score in instance["ranking"])
+            table[(instance["user_id"], instance["target_id"])] = RankedList(
+                entries=entries, k=max(len(entries), DEFAULT_KS[-1])
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TaxRecError(f"{path}: malformed external results ({type(exc).__name__}: {exc})") from exc
 
     def method(sequence: InteractionSequence) -> RankedList:
         key = (sequence.user_id, sequence.target.id)

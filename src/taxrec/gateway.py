@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .errors import AuthError, ContentError, NetworkError, ParseError
-from ._textparse import feature_lines
+from ._textparse import line_entries
 
 T = TypeVar("T")
 
@@ -400,7 +400,7 @@ class MockProvider:
         if not taxonomy_text or not item_text:
             raise ContentError("categorization prompt missing taxonomy or item section")
         lines = []
-        for name, values in feature_lines(taxonomy_text):
+        for name, values in line_entries(taxonomy_text):
             choice = values[_stable_int(self.seed, item_text, name) % len(values)]
             lines.append(f"{name}: {choice}")
         if not lines:
@@ -434,7 +434,7 @@ class MockProvider:
             raise ContentError("recommendation prompt missing taxonomy or history section")
         votes = self._history_votes(history_text)
         lines = []
-        for name, values in feature_lines(taxonomy_text):
+        for name, values in line_entries(taxonomy_text):
             cast = votes.get(name, [])
             if not cast:
                 continue

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import gateway
-from ._textparse import extract_json_object, feature_lines, split_values
+from ._textparse import reply_entries
 from .core import Feature, Taxonomy, normalize_text
 from .errors import ParseError
 
@@ -31,71 +31,14 @@ class TaxonomyDocument:
     provider_fingerprint: tuple[str, str]  # (model_name, template hash)
 
 
-def _features_from_mapping(obj: dict) -> list[tuple[str, list[str]]]:
-    features: list[tuple[str, list[str]]] = []
-    for key, value in obj.items():
-        values: list[str] = []
-        if isinstance(value, (list, tuple)):
-            for element in value:
-                if isinstance(element, (list, tuple)):
-                    values.extend(str(e) for e in element)
-                elif isinstance(element, dict):
-                    values.extend(str(e) for e in element.keys())
-                else:
-                    values.append(str(element))
-        elif isinstance(value, dict):
-            # Nested value lists keyed by value name.
-            values.extend(str(e) for e in value.keys())
-        elif isinstance(value, (str, int, float)):
-            values.extend(split_values(str(value)))
-        if values:
-            features.append((str(key), values))
-    return features
-
-
-def _features_from_json(obj: dict) -> list[tuple[str, list[str]]]:
-    # Unwrap a single enclosing "taxonomy"/"features" key.
-    for wrapper in ("taxonomy", "features"):
-        if set(obj.keys()) == {wrapper}:
-            inner = obj[wrapper]
-            if isinstance(inner, dict):
-                obj = inner
-            elif isinstance(inner, list):
-                return _features_from_feature_list(inner)
-            break
-    if isinstance(obj.get("features"), list):
-        return _features_from_feature_list(obj["features"])
-    return _features_from_mapping(obj)
-
-
-def _features_from_feature_list(entries: list) -> list[tuple[str, list[str]]]:
-    features: list[tuple[str, list[str]]] = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            continue
-        name = entry.get("name") or entry.get("feature")
-        values = entry.get("values") or entry.get("value")
-        if name is None or values is None:
-            continue
-        if not isinstance(values, (list, tuple)):
-            values = [values]
-        features.append((str(name), [str(v) for v in values]))
-    return features
-
-
 def parse_taxonomy(text: str, domain_label: str = "") -> Taxonomy:
     """Extract a Taxonomy from provider output.
 
-    Accepts a JSON object (flat ``{name: [values]}`` or nested
-    ``{"features": [{"name", "values"}]}``), tolerating surrounding prose and
-    code fences, and falls back to the canonical ``name: v1, v2`` line
-    rendering. All names and values are normalized; duplicate feature names
-    merge in first-seen order.
+    The reply is read by :func:`reply_entries`: a JSON object in any of its
+    shapes, or ``name: v1, v2`` lines. All names and values are normalized;
+    duplicate feature names merge in first-seen order.
     """
-    obj = extract_json_object(text)
-    raw_features = _features_from_json(obj) if obj is not None else []
-    if not raw_features:
-        raw_features = feature_lines(text)
+    raw_features = reply_entries(text)
     if not raw_features:
         raise ParseError("no structured taxonomy found in provider output", raw_text=text)
 
@@ -106,7 +49,7 @@ def parse_taxonomy(text: str, domain_label: str = "") -> Taxonomy:
             continue
         bucket = merged.setdefault(name, [])
         for raw_value in raw_values:
-            value = normalize_text(str(raw_value))
+            value = normalize_text(raw_value)
             if value and value not in bucket:
                 bucket.append(value)
 
@@ -167,19 +110,24 @@ def store_taxonomy(doc: TaxonomyDocument, cache_dir: Path) -> Path:
 
 
 def load_taxonomy(cache_dir: Path, domain_label: str) -> TaxonomyDocument | None:
+    """The stored document for a domain, or None when none is stored or the
+    file is not a readable document (torn, not JSON, fields missing)."""
     path = _taxonomy_path(cache_dir, domain_label)
     if not path.exists():
         return None
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    features = tuple(
-        Feature(name=f["name"], values=tuple(f["values"])) for f in payload["features"]
-    )
-    return TaxonomyDocument(
-        taxonomy=Taxonomy(domain_label=payload["domain_label"], features=features),
-        source_text=payload["source_text"],
-        created_at=payload["created_at"],
-        provider_fingerprint=tuple(payload["provider_fingerprint"]),
-    )
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        features = tuple(
+            Feature(name=f["name"], values=tuple(f["values"])) for f in payload["features"]
+        )
+        return TaxonomyDocument(
+            taxonomy=Taxonomy(domain_label=payload["domain_label"], features=features),
+            source_text=payload["source_text"],
+            created_at=payload["created_at"],
+            provider_fingerprint=tuple(payload["provider_fingerprint"]),
+        )
+    except (KeyError, TypeError, ValueError):  # json.JSONDecodeError is a ValueError
+        return None
 
 
 def _provider_fingerprint(provider: gateway.Provider) -> tuple[str, str]:
@@ -191,9 +139,10 @@ def cached_taxonomy(
 ) -> TaxonomyDocument | None:
     """The cached taxonomy for a domain, if ``provider`` generated it.
 
-    Returns None when nothing is cached, or when the cached document's
-    provider fingerprint (model name, generation-template hash) differs
-    from ``provider``'s, so a taxonomy from another model is never reused.
+    Returns None when nothing readable is cached, or when the cached
+    document's provider fingerprint (model name, generation-template hash)
+    differs from ``provider``'s, so a taxonomy from another model is never
+    reused.
     """
     cached = load_taxonomy(cache_dir, domain_label)
     if cached is None or cached.provider_fingerprint != _provider_fingerprint(provider):

@@ -172,6 +172,32 @@ def test_criterion_04_report_bytes_pinned(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of two sweeps over the criterion-04 arguments. They send history
+# lines without titles, parse titles out of replies, and run the
+# taxonomy-free direct path and the free-text matchers.
+SWEEP_SHA256 = {
+    "prompt-variant": {
+        "report.json": "f0044fe14a61b3fceb1cd6e5b539cc49b0075408f1f98b840e4b2b4ea4e85b30",
+        "table.txt": "088a93c9a77daa1a5f5e3e1b07f241770d2b9a4ca6215943d713daa4dc4f32b1",
+    },
+    "ablation": {
+        "report.json": "da0ef730f4fd73fa53f4b62be366928176c4cdceb649893bb0186e3fa6acb5e5",
+        "table.txt": "25edc251382a0477f9dd60f3c7d644f3589d2b8f4fb6dd77f18e97ea87b5bd67",
+    },
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_SHA256))
+def test_criterion_04_sweep_report_bytes_pinned(tmp_path, monkeypatch, axis):
+    """The seeded synthetic sweeps write exactly the recorded bytes."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_main(EVAL_ARGS + ["--cache-dir", "cache", "--sweep", axis, "--out", "run"]) == 0
+    for name, digest in SWEEP_SHA256[axis].items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_criterion_05_known_answer_direction():
     """Constructed fixture: full pipeline hits recall@1 = 1.0, the
     taxonomy-free variant (out-of-pool generations) drops to 0.0."""

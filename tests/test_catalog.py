@@ -15,6 +15,7 @@ from taxrec.catalog import (
     Interaction,
     ItemPool,
     categorize_pool,
+    filter_pairs,
     item_prompt_text,
     load_bookcrossing,
     load_categorized_pool,
@@ -215,6 +216,23 @@ class TestCategorizeItem:
         item_id, message = stats.failures[0]
         assert item_id == "1"
         assert "no feature pairs parsed" in message
+
+
+class TestFilterPairs:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"genre": "Fiction, Mystery"}', {("genre", "fiction"), ("genre", "mystery")}),
+            ('{"genre": {"Fiction": 1}}', {("genre", "fiction")}),
+            ('{"features": [{"name": "genre", "value": "Fiction"}]}', {("genre", "fiction")}),
+            ('{"taxonomy": {"genre": ["Fiction"]}}', {("genre", "fiction")}),
+            ("2. Tone: Dark; Light", {("tone", "dark")}),
+            ("Here is the taxonomy for books: see below\ngenre: Fiction", {("genre", "fiction")}),
+            ('{"genre": [""], "tone": [""]}\ngenre: Fiction', {("genre", "fiction")}),
+        ],
+    )
+    def test_reply_grammar(self, text, expected):
+        assert filter_pairs(text, {"genre", "tone"}) == expected
 
 
 def small_pool(n: int) -> ItemPool:

@@ -69,6 +69,26 @@ class TestTaxonomyCommand:
         assert run_cli(["categorize", *seed2]) == 0
 
 
+    @pytest.mark.parametrize("damage", ["cut at 100 bytes", "no features"])
+    def test_unreadable_cache_is_a_miss(self, workdir, capsys, damage):
+        assert run_cli(["taxonomy", "--domain", "book", "--provider", "mock"]) == 0
+        path = workdir / ".taxrec-cache" / "book" / "taxonomy.json"
+        if damage == "cut at 100 bytes":
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            payload = json.loads(path.read_text())
+            del payload["features"]
+            path.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        assert run_cli(["categorize", "--provider", "mock", *SMALL_SYNTH]) == 1
+        assert "run 'taxrec taxonomy' first" in capsys.readouterr().err
+        assert run_cli(["taxonomy", "--domain", "book", "--provider", "mock"]) == 0
+        assert "generated taxonomy" in capsys.readouterr().out
+        assert len(json.loads(path.read_text())["features"]) == 10
+        assert run_cli(["categorize", "--provider", "mock", *SMALL_SYNTH]) == 0
+
+
 class TestCategorizeCommand:
     def test_requires_taxonomy_first(self, workdir, capsys):
         code = run_cli(["categorize", "--provider", "mock", *SMALL_SYNTH])

@@ -443,3 +443,20 @@ class TestExternalResults:
         _, method = load_external_results(path)
         with pytest.raises(TaxRecError):
             run_experiment({"partial": method}, sequences, repeats=1, max_workers=1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"instances": []}',
+            '{"method": "m"}',
+            '{"method": "m", "instances": [{"user_id": "u", "ranking": []}]}',
+            '{"method": "m", "instances": [{"user_id": "u", "target_id": "t", "ranking": [["a"]]}]}',
+            '{"method": "m", "instances": [["u", "t"]]}',
+            '{"method": "m", "instances": [',
+        ],
+    )
+    def test_malformed_file_is_an_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "external.json"
+        path.write_text(text)
+        with pytest.raises(TaxRecError, match="external.json"):
+            load_external_results(path)

@@ -10,7 +10,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from taxrec._textparse import feature_lines
+from taxrec._textparse import reply_entries
 from taxrec.catalog import filter_pairs
 from taxrec.core import FeaturePair, Taxonomy, normalize_text
 from taxrec.errors import ParseError
@@ -64,7 +64,7 @@ def test_filter_pairs_keeps_only_normalized_allowed_pairs(text, allowed):
 @settings(deadline=None)
 @given(_TEXTS)
 def test_feature_lines_yields_named_features_with_values(text):
-    for name, values in feature_lines(text):
+    for name, values in reply_entries(text):
         assert name and name == name.strip()
         assert values and all(value and value == value.strip() for value in values)
 
@@ -95,3 +95,43 @@ def test_parse_feature_output_returns_pairs_or_parse_error(text, titles):
     assert feature_set.pairs and feature_set.raw_text == text
     keys = set(taxonomy.feature_names) | ({"title"} if titles else set())
     assert all(pair.key in keys and _is_normalized(pair.value) for pair in feature_set.pairs)
+
+
+# One feature table, rendered in each shape a model may answer in. Keys and
+# values avoid the grammar's own delimiters; keys have at most six words and
+# no digits, so no key reads as a numbered bullet.
+_KEYS = st.one_of(
+    st.text(st.sampled_from("abzAZéß日 -'"), max_size=12),
+    st.sampled_from(["features", "taxonomy", "Genre", "- Tone"]),
+)
+_VALUES = st.text(st.sampled_from("abzAZéß日 -'09.)"), max_size=12)
+_TABLES = st.lists(
+    st.tuples(_KEYS, st.lists(_VALUES, min_size=1, max_size=4)),
+    max_size=5,
+    unique_by=lambda entry: entry[0],
+)
+
+
+def _renderings(table) -> list[str]:
+    return [
+        "\n".join(f"{key}: {', '.join(values)}" for key, values in table),
+        json.dumps({key: values for key, values in table}),
+        json.dumps({key: ", ".join(values) for key, values in table}),
+        json.dumps({"features": [{"name": key, "values": values} for key, values in table]}),
+    ]
+
+
+def _taxonomy_or_error(text: str) -> Taxonomy | str:
+    try:
+        return parse_taxonomy(text, "book")
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(_TABLES)
+def test_every_rendering_of_a_table_parses_the_same(table):
+    allowed = {normalize_text(key) for key, _ in table[::2]}
+    renderings = _renderings(table)
+    assert len({filter_pairs(text, allowed) for text in renderings}) == 1
+    assert len({_taxonomy_or_error(text) for text in renderings}) == 1

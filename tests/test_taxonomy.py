@@ -57,6 +57,22 @@ class TestParseTaxonomy:
         assert taxonomy.feature_names == ("genre",)
         assert taxonomy.features[0].values == ("fiction", "mystery")
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"genre": "Fiction, Mystery"}', {"genre": ("fiction", "mystery")}),
+            ('{"genre": {"Fiction": 1}}', {"genre": ("fiction",)}),
+            ('{"features": [{"name": "genre", "value": "Fiction"}]}', {"genre": ("fiction",)}),
+            ("2. Tone: Dark; Light", {"tone": ("dark",)}),
+            ("- Genre: Fiction; Tone: Dark", {"genre": ("fiction",), "tone": ("dark",)}),
+            ('{"taxonomy": ["Fiction", "Mystery"]}', {"taxonomy": ("fiction", "mystery")}),
+            ('{"note": [""], "genre": [""]}\ngenre: Fiction', {"genre": ("fiction",)}),
+        ],
+    )
+    def test_reply_grammar(self, text, expected):
+        taxonomy = parse_taxonomy(text)
+        assert {feature.name: feature.values for feature in taxonomy.features} == expected
+
     def test_no_structure_is_parse_error(self):
         with pytest.raises(ParseError) as excinfo:
             parse_taxonomy("I could not come up with anything useful.")
