@@ -59,9 +59,11 @@ def extract_json_object(text: str) -> tuple[dict, int, int] | None:
             depth -= 1
             if depth == 0:
                 candidate = text[start : pos + 1]
+                # Nesting deeper than the interpreter's recursion limit
+                # makes json.loads raise RecursionError: not an object.
                 try:
                     obj = json.loads(candidate)
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     continue
                 if isinstance(obj, dict):
                     return obj, start, pos + 1
@@ -121,12 +123,22 @@ def _is_feature_list(value: object) -> bool:
 
 def _json_values(value: object) -> list[str]:
     """Raw values of one JSON entry: lists flatten, a dict gives its keys,
-    and a scalar is split on commas like a line's right-hand side."""
-    if isinstance(value, dict):
-        value = list(value)
-    if isinstance(value, list):
-        return [raw for element in value for raw in _json_values(element)]
-    return [] if value is None else _split_values(str(value))
+    and a scalar is split on commas like a line's right-hand side.
+
+    Flattens with an explicit stack, so nesting as deep as json.loads
+    accepts cannot exhaust the interpreter's recursion limit.
+    """
+    raw: list[str] = []
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            value = list(value)
+        if isinstance(value, list):
+            stack.extend(reversed(value))
+        elif value is not None:
+            raw += _split_values(str(value))
+    return raw
 
 
 def line_entries(text: str) -> list[Entry]:

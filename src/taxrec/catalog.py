@@ -298,8 +298,29 @@ def _cache_path(cache_dir: Path, domain_label: str) -> Path:
     return Path(cache_dir) / domain_label / "items.jsonl"
 
 
+# One pool's feature pairs, each held once: (key, value) -> its FeaturePair.
+_PairTable = dict[tuple[str, str], FeaturePair]
+
+
+def _shared_pairs(
+    table: _PairTable, key_values: Iterable[tuple[str, str]]
+) -> frozenset[FeaturePair]:
+    """The pairs named by ``key_values``, taken from ``table``.
+
+    A pair not yet in the table is built, and so validated, once and added;
+    an invalid one raises as ``FeaturePair`` does.
+    """
+    shared = []
+    for key_value in key_values:
+        pair = table.get(key_value)
+        if pair is None:
+            pair = table[key_value] = FeaturePair(*key_value)
+        shared.append(pair)
+    return frozenset(shared)
+
+
 def _load_cached_entries(
-    path: Path, fingerprint: str, pool: ItemPool
+    path: Path, fingerprint: str, pool: ItemPool, table: _PairTable
 ) -> dict[str, CategorizedItem]:
     entries: dict[str, CategorizedItem] = {}
     if not path.exists():
@@ -319,9 +340,7 @@ def _load_cached_entries(
                 item = by_id.get(record.get("item_id"))
                 if item is None:
                     continue
-                pairs = frozenset(
-                    FeaturePair(p["key"], p["value"]) for p in record.get("pairs", [])
-                )
+                pairs = _shared_pairs(table, [(p["key"], p["value"]) for p in record.get("pairs", [])])
             except (AttributeError, KeyError, TypeError, ValueError):
                 continue
             if pairs:
@@ -365,7 +384,7 @@ def load_categorized_pool(
     fingerprint.
     """
     fingerprint = taxonomy_fingerprint(model_name, taxonomy)
-    entries = _load_cached_entries(_cache_path(cache_dir, pool.domain_label), fingerprint, pool)
+    entries = _load_cached_entries(_cache_path(cache_dir, pool.domain_label), fingerprint, pool, {})
     coverage = len(entries) / len(pool.items)
     if coverage < 1.0:
         raise TaxRecError(
@@ -405,7 +424,8 @@ def categorize_pool(
     fingerprint = taxonomy_fingerprint(provider.model_name, taxonomy)
     path = _cache_path(cache_dir, pool.domain_label)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entries = _load_cached_entries(path, fingerprint, pool)
+    table: _PairTable = {}
+    entries = _load_cached_entries(path, fingerprint, pool, table)
     todo = [item for item in pool.items if item.id not in entries]
     stats = stats if stats is not None else CategorizeStats()
 
@@ -422,9 +442,10 @@ def categorize_pool(
                     return _categorize_with_raw(provider, item, taxonomy, pool.domain_label, stats)
 
                 pending = deque((item, executor.submit(worker, item)) for item in todo)
-                # Cache writes happen only on this thread, in pool order: one
-                # writer, many categorization workers, and the same cache
-                # bytes whatever order the workers finish in.
+                # Cache writes and the pair table are touched only on this
+                # thread, in pool order: one writer, many categorization
+                # workers, no lock, and the same cache bytes whatever order
+                # the workers finish in.
                 while pending:
                     item, future = pending.popleft()
                     try:
@@ -432,6 +453,7 @@ def categorize_pool(
                     except Exception as exc:
                         stats.failures.append((item.id, str(exc)))
                     else:
+                        categorized = CategorizedItem(item=item, pairs=_shared_pairs(table, categorized.pairs))
                         entries[item.id] = categorized
                         _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
                         done += 1

@@ -84,8 +84,8 @@ class FeaturePair(tuple):
     __slots__ = ()
 
     def __new__(cls, key: str, value: str) -> FeaturePair:
-        if not key or not value:
-            raise ValueError("feature pair key and value must be non-empty")
+        if not (isinstance(key, str) and isinstance(value, str) and key and value):
+            raise ValueError("feature pair key and value must be non-empty strings")
         return tuple.__new__(cls, (key, value))
 
     key = property(itemgetter(0), doc="The feature name.")

@@ -218,6 +218,11 @@ class TestCategorizeItem:
         assert "no feature pairs parsed" in message
 
 
+def nested_reply(depth: int, leaf: str = "") -> str:
+    """A JSON reply whose ``genre`` value is ``leaf`` inside ``depth`` arrays."""
+    return '{"genre": ' + "[" * depth + leaf + "]" * depth + "}"
+
+
 class TestFilterPairs:
     @pytest.mark.parametrize(
         "text, expected",
@@ -229,10 +234,21 @@ class TestFilterPairs:
             ("2. Tone: Dark; Light", {("tone", "dark")}),
             ("Here is the taxonomy for books: see below\ngenre: Fiction", {("genre", "fiction")}),
             ('{"genre": [""], "tone": [""]}\ngenre: Fiction', {("genre", "fiction")}),
+            pytest.param(nested_reply(500, '"x"'), {("genre", "x")}, id="nested-500"),
+            pytest.param(nested_reply(990, '"x"'), {("genre", "x")}, id="nested-990"),
+            # Deeper than json.loads can recurse: not an object, and the
+            # lines hold no value.
+            pytest.param(nested_reply(5000), set(), id="nested-5000"),
         ],
     )
     def test_reply_grammar(self, text, expected):
         assert filter_pairs(text, {"genre", "tone"}) == expected
+
+    def test_too_deeply_nested_reply_is_reasked(self, small_taxonomy, tmp_path):
+        provider = ScriptedProvider([nested_reply(5000), "genre: fiction"])
+        categorized = categorize_one(provider, Item(id="1", title="X"), small_taxonomy, tmp_path)
+        assert categorized.pairs == frozenset({FeaturePair("genre", "fiction")})
+        assert len(provider.calls) == 2
 
 
 def small_pool(n: int) -> ItemPool:
@@ -339,6 +355,35 @@ class TestCategorizePool:
         cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
         assert counting.calls == 1  # the item whose only records are malformed
         assert cpool.coverage == 1.0
+
+    def test_non_string_pair_records_are_skipped(self, tmp_path, mock7, small_taxonomy):
+        categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
+        cache_path = tmp_path / "book" / "items.jsonl"
+        lines = cache_path.read_text().splitlines()
+        good = json.loads(lines.pop())
+        bad_pairs = ({"key": 1, "value": "x"}, {"key": "genre", "value": 2.5}, {"key": "genre", "value": None})
+        lines += [json.dumps(dict(good, pairs=[pair])) for pair in bad_pairs]
+        cache_path.write_text("\n".join(lines) + "\n")
+
+        counting = CountingProvider(mock7)
+        cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
+        assert counting.calls == 1  # the item whose only records are malformed
+        assert cpool.coverage == 1.0
+
+    def test_pool_shares_one_object_per_distinct_pair(self, tmp_path, mock7, small_taxonomy):
+        def shared(entries) -> bool:
+            pairs = [pair for entry in entries.values() for pair in entry.pairs]
+            return len({id(pair) for pair in pairs}) == len(set(pairs))
+
+        pool = small_pool(30)
+        cold = categorize_pool(mock7, pool, small_taxonomy, tmp_path, max_workers=4)
+        assert shared(cold.entries)
+        for warm in (
+            categorize_pool(mock7, pool, small_taxonomy, tmp_path),
+            load_categorized_pool(tmp_path, pool, small_taxonomy, mock7.model_name),
+        ):
+            assert shared(warm.entries)
+            assert warm.entries == cold.entries
 
     def test_feature_count_change_invalidates_cache(self, tmp_path, mock7, small_taxonomy):
         pool = small_pool(10)

@@ -163,6 +163,8 @@ class TestDomainTypes:
             FeaturePair("", "fiction")
         with pytest.raises(ValueError):
             FeaturePair("genre", "")
+        with pytest.raises(ValueError):
+            FeaturePair(1, "fiction")
 
 
 class TestFeaturePair:
