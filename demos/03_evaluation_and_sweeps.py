@@ -23,6 +23,7 @@ from taxrec import (
     run_experiment,
     run_sweep,
 )
+from taxrec.evaluation import COMPONENT_ABLATIONS
 
 warnings.simplefilter("ignore")  # the mock is deterministic; repeats warn
 
@@ -48,7 +49,8 @@ def taxrec_method(cfg: RecommendConfig):
 table = PopularityTable.from_interactions(interactions)
 methods = {
     "taxrec": taxrec_method(RecommendConfig()),
-    "direct": taxrec_method(RecommendConfig(use_taxonomy=False, matcher="exact_title")),
+    # The taxonomy-free direct path is the "no_tax" cell of the ablation sweep.
+    "direct": taxrec_method(RecommendConfig(**COMPONENT_ABLATIONS["no_tax"])),
     "popularity": lambda seq: popularity_recommend(table, seq, 10),
 }
 

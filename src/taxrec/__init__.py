@@ -32,7 +32,6 @@ from .gateway import (
     LlmResponse,
     MockProvider,
     PromptTemplate,
-    ScriptedProvider,
     render_categorization_prompt,
     render_direct_recommendation_prompt,
     render_recommendation_prompt,

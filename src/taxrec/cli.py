@@ -7,13 +7,14 @@ environment variables are ``TAXREC_LLM_BASE_URL``, ``TAXREC_LLM_MODEL``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import baselines, catalog, evaluation, gateway, matchers, recommender, synthetic, taxonomy
 from .core import InteractionSequence, Item
@@ -29,6 +30,7 @@ _ENV_KEYS = {
 
 _DATASET_DOMAINS = {"synthetic": "book", "movielens": "movie", "bookcrossing": "book"}
 
+# --sweep name -> evaluation.SWEEP_AXES axis; report labels use the axis.
 _SWEEP_AXES = {
     "feature-count": "feature_count",
     "matcher": "matcher",
@@ -36,12 +38,10 @@ _SWEEP_AXES = {
     "ablation": "component_ablation",
 }
 
-_DEFAULT_SWEEP_VALUES = {
-    "feature_count": "5,10,15,20",
-    "matcher": "taxonomy,bleu,rouge",
-    "prompt_variant": ",".join(evaluation.PROMPT_VARIANTS),
-    "component_ablation": ",".join(evaluation.COMPONENT_ABLATIONS),
-}
+# Fields that count something: a config file must set them to 1 or more.
+_COUNT_FIELDS = (
+    "n", "k", "repeats", "max_workers", "max_in_flight", "n_items", "n_users", "per_user"
+)
 
 
 @dataclass
@@ -93,11 +93,10 @@ class RunConfig:
         data.pop("api_key")
         return data
 
-    def ks_list(self) -> list[int]:
-        return [int(part) for part in self.ks.split(",") if part.strip()]
 
-    def methods_list(self) -> list[str]:
-        return [part.strip() for part in self.methods.split(",") if part.strip()]
+def _split(text: str) -> list[str]:
+    """The non-empty, stripped parts of a comma-separated list."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = None) -> RunConfig:
@@ -106,11 +105,21 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
 
     config_path = getattr(args, "config", None)
     if config_path:
+        where = f"config file {config_path}"
         file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(file_values, dict):
+            raise TaxRecError(f"{where}: expected a JSON object, not {type(file_values).__name__}")
         unknown = set(file_values) - set(resolved)
         if unknown:
-            raise TaxRecError(f"unknown config file keys: {sorted(unknown)}")
-        resolved.update(file_values)
+            raise TaxRecError(f"{where}: unknown keys {sorted(unknown)}")
+        for f in fields(RunConfig):
+            value, kind = file_values.get(f.name, f.default), type(f.default)
+            # A bool is not an int; an int is a float.
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise TaxRecError(f"{where}: {f.name!r} must be a {kind.__name__}, not {value!r}")
+            if f.name in _COUNT_FIELDS and value < 1:
+                raise TaxRecError(f"{where}: {f.name!r} must be >= 1, not {value!r}")
+            resolved[f.name] = kind(value)
 
     for env_key, field_name in _ENV_KEYS.items():
         if env.get(env_key):
@@ -231,9 +240,21 @@ def cmd_categorize(cfg: RunConfig) -> int:
     return 0
 
 
+def _recommend_config(cfg: RunConfig, k: int) -> recommender.RecommendConfig:
+    rec_cfg = recommender.RecommendConfig(
+        k=k, history_with_titles=cfg.history_titles, recommend_with_titles=cfg.rec_titles,
+        matcher=cfg.matcher, taxonomy_feature_count=cfg.feature_count,
+    )
+    if not cfg.no_taxonomy:
+        return rec_cfg
+    direct = replace(rec_cfg, **evaluation.COMPONENT_ABLATIONS["no_tax"])
+    # A free-text matcher asked for by name is kept.
+    return direct if cfg.matcher == "taxonomy" else replace(direct, matcher=cfg.matcher)
+
+
 def _read_history_ids(ids: str, ids_file: str) -> list[str]:
     if ids:
-        return [part.strip() for part in ids.split(",") if part.strip()]
+        return _split(ids)
     if ids_file:
         return [
             line.strip()
@@ -254,14 +275,7 @@ def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
         user_id="cli", history=tuple(history), target=Item(id="__cli_no_target__", title="")
     )
     provider = build_provider(cfg)
-    rec_cfg = recommender.RecommendConfig(
-        k=cfg.k,
-        history_with_titles=cfg.history_titles,
-        recommend_with_titles=cfg.rec_titles,
-        matcher="exact_title" if cfg.no_taxonomy and cfg.matcher == "taxonomy" else cfg.matcher,
-        taxonomy_feature_count=cfg.feature_count,
-        use_taxonomy=not cfg.no_taxonomy,
-    )
+    rec_cfg = _recommend_config(cfg, cfg.k)
     embedder = build_embedder(cfg) if rec_cfg.matcher == "embedding" else None
 
     if rec_cfg.use_taxonomy:
@@ -288,30 +302,12 @@ def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
     return 0
 
 
-def _taxrec_method(
-    provider, cpool, doc, rec_cfg, domain, embedder
-) -> evaluation.MethodFn:
-    index = (
-        recommender.build_pool_index(cpool, include_titles=rec_cfg.recommend_with_titles)
-        if rec_cfg.matcher == "taxonomy"
-        else None
-    )
-
-    def method(sequence: InteractionSequence):
-        return recommender.recommend(
-            provider, sequence, cpool, doc.taxonomy, rec_cfg,
-            domain_label=domain, embedder=embedder, index=index,
-        ).ranked
-
-    return method
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     cache_dir = Path(cfg.cache_dir)
     provider = build_provider(cfg)
     pool, interactions = load_dataset(cfg)
     sequences = _build_sequences(cfg, pool, interactions)
-    ks = cfg.ks_list()
+    ks = [int(part) for part in _split(cfg.ks)]
     depth = max([cfg.k, *ks])
 
     doc = taxonomy.generate_taxonomy(provider, cfg.domain, cache_dir)
@@ -320,60 +316,49 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         max_workers=cfg.max_workers, progress=_progress_line if cfg.verbose else None,
     )
     embedder = build_embedder(cfg)
-
-    base_rec_cfg = recommender.RecommendConfig(
-        k=depth,
-        history_with_titles=cfg.history_titles,
-        recommend_with_titles=cfg.rec_titles,
-        matcher=cfg.matcher,
-        taxonomy_feature_count=cfg.feature_count,
-    )
+    base_rec_cfg = _recommend_config(cfg, depth)
 
     def make_method(rec_cfg: recommender.RecommendConfig) -> evaluation.MethodFn:
-        return _taxrec_method(provider, cpool, doc, rec_cfg, cfg.domain, embedder)
+        index = (
+            recommender.build_pool_index(cpool, include_titles=rec_cfg.recommend_with_titles)
+            if rec_cfg.matcher == "taxonomy"
+            else None
+        )
+        return lambda sequence: recommender.recommend(
+            provider, sequence, cpool, doc.taxonomy, rec_cfg,
+            domain_label=cfg.domain, embedder=embedder, index=index,
+        ).ranked
 
     if cfg.sweep:
         axis = _SWEEP_AXES.get(cfg.sweep)
         if axis is None:
             raise TaxRecError(f"unknown sweep {cfg.sweep!r}; expected one of {sorted(_SWEEP_AXES)}")
-        values_text = cfg.values or _DEFAULT_SWEEP_VALUES[axis]
-        raw_values = [part.strip() for part in values_text.split(",") if part.strip()]
-        values: list[object] = (
-            [int(v) for v in raw_values] if axis == "feature_count" else list(raw_values)
-        )
         setup = evaluation.SweepSetup(
-            make_method=make_method,
-            base_config=base_rec_cfg,
-            sequences=sequences,
-            repeats=cfg.repeats,
-            ks=ks,
-            max_workers=cfg.max_workers,
+            make_method=make_method, base_config=base_rec_cfg, sequences=sequences,
+            repeats=cfg.repeats, ks=ks, max_workers=cfg.max_workers,
         )
+        values = _split(cfg.values) or evaluation.SWEEP_AXES[axis][0]
         reports = evaluation.run_sweep(axis, values, setup)
     else:
+        direct_cfg = replace(base_rec_cfg, **evaluation.COMPONENT_ABLATIONS["no_tax"])
+        builders: dict[str, Callable[[], evaluation.MethodFn]] = {
+            "taxrec": lambda: make_method(base_rec_cfg),
+            "direct": lambda: make_method(direct_cfg),
+            "popularity": lambda: functools.partial(
+                baselines.popularity_recommend,
+                baselines.PopularityTable.from_interactions(interactions), k=depth,
+            ),
+            "avgemb": lambda: functools.partial(
+                baselines.AverageEmbeddingRecommender(embedder, pool).recommend, k=depth
+            ),
+        }
         methods: dict[str, evaluation.MethodFn] = {}
-        for name in cfg.methods_list():
-            if name == "taxrec":
-                methods[name] = make_method(base_rec_cfg)
-            elif name == "direct":
-                direct_cfg = replace(base_rec_cfg, use_taxonomy=False, matcher="exact_title")
-                methods[name] = make_method(direct_cfg)
-            elif name == "popularity":
-                table = baselines.PopularityTable.from_interactions(interactions)
-                methods[name] = (
-                    lambda seq, table=table, depth=depth: baselines.popularity_recommend(
-                        table, seq, depth
-                    )
-                )
-            elif name == "avgemb":
-                avg = baselines.AverageEmbeddingRecommender(embedder, pool)
-                methods[name] = lambda seq, avg=avg, depth=depth: avg.recommend(seq, depth)
-            else:
-                raise TaxRecError(
-                    f"unknown method {name!r}; expected taxrec, direct, popularity, or avgemb"
-                )
-        for path_text in [p for p in cfg.external.split(",") if p.strip()]:
-            name, method = evaluation.load_external_results(Path(path_text.strip()))
+        for name in _split(cfg.methods):
+            if name not in builders:
+                raise TaxRecError(f"unknown method {name!r}; expected one of {sorted(builders)}")
+            methods[name] = builders[name]()
+        for path_text in _split(cfg.external):
+            name, method = evaluation.load_external_results(Path(path_text))
             methods[name] = method
         reports = [
             evaluation.run_experiment(

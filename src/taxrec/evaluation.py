@@ -31,17 +31,39 @@ DISPLAY_SCALE = 10.0
 # Share of evaluations a method may fail before run_experiment does.
 _METHOD_FAILURE_LIMIT = 0.05
 
-SWEEP_AXES = ("feature_count", "matcher", "prompt_variant", "component_ablation")
-
-# The four prompt-variant cells: (history with titles, recommend with titles).
-PROMPT_VARIANTS: dict[str, tuple[bool, bool]] = {
-    "h+t/rec+t": (True, True),
-    "h+t/rec-t": (True, False),
-    "h-t/rec+t": (False, True),
-    "h-t/rec-t": (False, False),
+# Each cell of the two named-cell axes: the RecommendConfig fields it sets.
+PROMPT_VARIANTS: dict[str, dict[str, bool]] = {
+    "h+t/rec+t": {"history_with_titles": True, "recommend_with_titles": True},
+    "h+t/rec-t": {"history_with_titles": True, "recommend_with_titles": False},
+    "h-t/rec+t": {"history_with_titles": False, "recommend_with_titles": True},
+    "h-t/rec-t": {"history_with_titles": False, "recommend_with_titles": False},
 }
 
-COMPONENT_ABLATIONS = ("full", "no_tax", "no_match")
+# "no_tax" is the taxonomy-free direct path, the `direct` method of `taxrec evaluate`.
+COMPONENT_ABLATIONS: dict[str, dict[str, object]] = {
+    "full": {"use_taxonomy": True, "matcher": "taxonomy"},
+    "no_tax": {"use_taxonomy": False, "matcher": "exact_title"},
+    "no_match": {"use_taxonomy": True, "matcher": "rouge"},
+}
+
+
+def _cells(kind: str, cells: Mapping[str, dict]) -> Callable[[object], dict]:
+    def fields_of(value) -> dict:
+        if value not in cells:
+            raise ValueError(f"unknown {kind} {value!r}; expected one of {sorted(cells)}")
+        return cells[value]
+
+    return fields_of
+
+
+# The experiment plan: each sweep axis -> (its default cells, a function
+# from one cell value to the RecommendConfig fields that cell changes).
+SWEEP_AXES: dict[str, tuple[tuple, Callable[[object], dict]]] = {
+    "feature_count": ((5, 10, 15, 20), lambda value: {"taxonomy_feature_count": int(value)}),
+    "matcher": (("taxonomy", "bleu", "rouge"), lambda value: {"matcher": str(value)}),
+    "prompt_variant": (tuple(PROMPT_VARIANTS), _cells("prompt variant", PROMPT_VARIANTS)),
+    "component_ablation": (tuple(COMPONENT_ABLATIONS), _cells("ablation", COMPONENT_ABLATIONS)),
+}
 
 
 def pad_history(history: Sequence[Item], threshold: int) -> list[Item]:
@@ -318,43 +340,20 @@ class SweepSetup:
     max_workers: int = 4
 
 
-def _sweep_config(axis: str, value, base_config):
-    if axis == "feature_count":
-        return replace(base_config, taxonomy_feature_count=int(value))
-    if axis == "matcher":
-        return replace(base_config, matcher=str(value))
-    if axis == "prompt_variant":
-        key = str(value)
-        if key not in PROMPT_VARIANTS:
-            raise ValueError(f"unknown prompt variant {key!r}; expected one of {sorted(PROMPT_VARIANTS)}")
-        history_titles, recommend_titles = PROMPT_VARIANTS[key]
-        return replace(
-            base_config, history_with_titles=history_titles, recommend_with_titles=recommend_titles
-        )
-    if axis == "component_ablation":
-        key = str(value)
-        if key == "full":
-            return replace(base_config, use_taxonomy=True, matcher="taxonomy")
-        if key == "no_tax":
-            return replace(base_config, use_taxonomy=False, matcher="exact_title")
-        if key == "no_match":
-            return replace(base_config, use_taxonomy=True, matcher="rouge")
-        raise ValueError(f"unknown ablation {key!r}; expected one of {COMPONENT_ABLATIONS}")
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
 def run_sweep(axis: str, values: Sequence, base: SweepSetup) -> list[MetricReport]:
     """One experiment per axis value, everything else held fixed.
 
-    Failed cells are marked with their error and the sweep continues.
+    A cell that fails, a bad value included, is marked with its error and
+    the sweep continues.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
+    cell_fields = SWEEP_AXES[axis][1]
     reports = []
     for value in values:
         label = f"{axis}={value}"
         try:
-            config = _sweep_config(axis, value, base.base_config)
+            config = replace(base.base_config, **cell_fields(value))
             report = run_experiment(
                 {label: base.make_method(config)},
                 base.sequences,

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Protocol, TypeVar
 
 from .errors import AuthError, ContentError, NetworkError, ParseError
 from ._textparse import line_entries
@@ -284,28 +284,6 @@ def _retry_after_seconds(value: str | None) -> float | None:
     except (TypeError, ValueError):
         return None
     return max(0.0, seconds) if math.isfinite(seconds) else None
-
-
-class ScriptedProvider:
-    """Replays a fixed sequence of responses; the last one repeats.
-
-    A test double for exercising parsers and failure paths with exact
-    output control.
-    """
-
-    def __init__(self, responses: Sequence[str], model_name: str = "scripted") -> None:
-        if not responses:
-            raise ValueError("at least one scripted response required")
-        self.responses = list(responses)
-        self.model_name = model_name
-        self.calls: list[LlmRequest] = []
-        self._lock = threading.Lock()
-
-    def complete(self, request: LlmRequest) -> LlmResponse:
-        with self._lock:
-            index = min(len(self.calls), len(self.responses) - 1)
-            self.calls.append(request)
-        return LlmResponse(text=self.responses[index])
 
 
 # Fixed feature table for the mock provider: 10 features, 4 values each.

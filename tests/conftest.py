@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import threading
+from typing import Sequence
 
 import pytest
 
@@ -57,6 +58,28 @@ class CountingProvider:
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+class ScriptedProvider:
+    """Replays a fixed sequence of responses; the last one repeats.
+
+    A test double for exercising parsers and failure paths with exact
+    output control.
+    """
+
+    def __init__(self, responses: Sequence[str], model_name: str = "scripted") -> None:
+        if not responses:
+            raise ValueError("at least one scripted response required")
+        self.responses = list(responses)
+        self.model_name = model_name
+        self.calls: list[LlmRequest] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request: LlmRequest) -> LlmResponse:
+        with self._lock:
+            index = min(len(self.calls), len(self.responses) - 1)
+            self.calls.append(request)
+        return LlmResponse(text=self.responses[index])
 
 
 class FailAfterProvider:

@@ -172,9 +172,10 @@ def test_criterion_04_report_bytes_pinned(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
 
 
-# sha256 of two sweeps over the criterion-04 arguments. They send history
-# lines without titles, parse titles out of replies, and run the
-# taxonomy-free direct path and the free-text matchers.
+# sha256 of sweeps over the criterion-04 arguments. They send history
+# lines without titles, parse titles out of replies, run the
+# taxonomy-free direct path and the free-text matchers, and cut the
+# taxonomy to each feature count.
 SWEEP_SHA256 = {
     "prompt-variant": {
         "report.json": "f0044fe14a61b3fceb1cd6e5b539cc49b0075408f1f98b840e4b2b4ea4e85b30",
@@ -183,6 +184,10 @@ SWEEP_SHA256 = {
     "ablation": {
         "report.json": "da0ef730f4fd73fa53f4b62be366928176c4cdceb649893bb0186e3fa6acb5e5",
         "table.txt": "25edc251382a0477f9dd60f3c7d644f3589d2b8f4fb6dd77f18e97ea87b5bd67",
+    },
+    "feature-count": {
+        "report.json": "2cc669e97d73ce5899495aae778102f4ae09f8e65b8ba42d0d34b2bcb7de97eb",
+        "table.txt": "e529d64b65f852ef6709c3a999f6be91dc62b78f6b00eaf709bc5c0cdde54baf",
     },
 }
 
@@ -195,6 +200,25 @@ def test_criterion_04_sweep_report_bytes_pinned(tmp_path, monkeypatch, axis):
         warnings.simplefilter("ignore")
         assert cli_main(EVAL_ARGS + ["--cache-dir", "cache", "--sweep", axis, "--out", "run"]) == 0
     for name, digest in SWEEP_SHA256[axis].items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the criterion-04 run with every built-in method, so the
+# average-embedding baseline's bytes are pinned too.
+ALL_METHODS_SHA256 = {
+    "report.json": "b4ecfee8e46d9087e7fa23e16b959ac730765097a4e69367e54ba956cb605f58",
+    "table.txt": "c6c4be41f787efd8b31b89cdc3b6bf2418594315537749fc8986e50e8177e381",
+}
+
+
+def test_criterion_04_all_methods_report_bytes_pinned(tmp_path, monkeypatch):
+    """The seeded synthetic evaluation of all four methods writes the recorded bytes."""
+    monkeypatch.chdir(tmp_path)
+    methods = ["--methods", "taxrec,direct,popularity,avgemb"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_main(EVAL_ARGS + methods + ["--cache-dir", "cache", "--out", "run"]) == 0
+    for name, digest in ALL_METHODS_SHA256.items():
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
 
 

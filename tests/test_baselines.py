@@ -15,8 +15,10 @@ from taxrec.baselines import (
 from taxrec.catalog import Interaction, ItemPool
 from taxrec.core import InteractionSequence, Item, rank_scores
 from taxrec.errors import TaxRecError
-from taxrec.gateway import MockProvider, ScriptedProvider
+from taxrec.gateway import MockProvider
 from taxrec.recommender import RecommendConfig, recommend_direct
+
+from conftest import ScriptedProvider
 
 
 def _sequence(history_ids, target_id, titles=None):

@@ -23,10 +23,10 @@ from taxrec.catalog import (
 )
 from taxrec.core import CategorizedItem, FeaturePair, Item
 from taxrec.errors import TaxRecError
-from taxrec.gateway import LINE_REMINDER, ScriptedProvider
+from taxrec.gateway import LINE_REMINDER
 from taxrec.taxonomy import truncate_features
 
-from conftest import CountingProvider, FailAfterProvider
+from conftest import CountingProvider, FailAfterProvider, ScriptedProvider
 
 
 def write_movielens(tmp_path, item_lines, data_lines):

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taxrec.cli import build_parser, main, resolve_config
+from taxrec.cli import RunConfig, _recommend_config, build_parser, main, resolve_config
+from taxrec.errors import TaxRecError
 
 
 def run_cli(args, **kwargs):
@@ -214,6 +219,20 @@ class TestEvaluateCommand:
         ]
         assert all(report["error"] is None for report in payload["reports"])
 
+    def test_bad_sweep_values_are_failed_cells(self, workdir):
+        code = run_cli(EVAL_ARGS + ["--sweep", "feature-count", "--values", "5,x,0", "--out", "bad"])
+        assert code == 0
+        payload = json.loads((workdir / "bad" / "report.json").read_text())
+        errors = {report["label"]: report["error"] for report in payload["reports"]}
+        assert list(errors) == ["feature_count=5", "feature_count=x", "feature_count=0"]
+        assert errors["feature_count=5"] is None
+        assert errors["feature_count=x"] and errors["feature_count=0"]
+
+    def test_unknown_method_is_an_error(self, workdir, capsys):
+        assert run_cli(EVAL_ARGS + ["--methods", "taxrec,oracle", "--out", "bad"]) == 1
+        err = capsys.readouterr().err
+        assert "'oracle'" in err and "avgemb" in err
+
     def test_prompt_variant_sweep_default_values(self, workdir):
         code = run_cli(EVAL_ARGS + ["--sweep", "prompt-variant", "--out", "sweep3"])
         assert code == 0
@@ -297,6 +316,61 @@ class TestConfigPrecedence:
         args = self._namespace(argv=["taxonomy", "--config", str(config_file)])
         with pytest.raises(Exception, match="nonsense"):
             resolve_config(args, env={})
+
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            ({"k": "ten"}, "'k'"),
+            ({"max_workers": "2"}, "'max_workers'"),
+            ({"n": -5}, "'n'"),
+            ({"repeats": True}, "'repeats'"),
+            ("str", "JSON object"),
+        ],
+    )
+    def test_bad_config_file_is_one_error_line(self, workdir, capsys, content, named):
+        config_file = workdir / "cfg.json"
+        config_file.write_text(json.dumps(content))
+        assert run_cli(EVAL_ARGS + ["--config", str(config_file), "--out", "run"]) == 1
+        captured = capsys.readouterr()
+        error_lines = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(error_lines) == 1
+        assert str(config_file) in error_lines[0] and named in error_lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=st.one_of(
+            st.dictionaries(
+                st.sampled_from([f.name for f in fields(RunConfig)]),
+                st.one_of(
+                    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+                ),
+                max_size=4,
+            ),
+            st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=2), st.none(),
+        )
+    )
+    def test_config_file_values_are_checked(self, content):
+        with tempfile.TemporaryDirectory() as directory:
+            config_file = Path(directory) / "cfg.json"
+            config_file.write_text(json.dumps(content))
+            args = self._namespace(argv=["evaluate", "--config", str(config_file)])
+            try:
+                cfg = resolve_config(args, env={})
+            except TaxRecError as exc:
+                assert str(config_file) in str(exc)
+                return
+        for f in fields(RunConfig):
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+
+    def test_no_taxonomy_keeps_a_named_free_text_matcher(self):
+        def rec_cfg(*flags):
+            args = self._namespace(argv=["recommend", "--no-taxonomy", *flags])
+            return _recommend_config(resolve_config(args, env={}), 10)
+
+        assert (rec_cfg().use_taxonomy, rec_cfg().matcher) == (False, "exact_title")
+        assert rec_cfg("--matcher", "embedding").matcher == "embedding"
 
     def test_domain_defaults_per_dataset(self):
         args = self._namespace(argv=["evaluate", "--dataset", "movielens"])

@@ -14,7 +14,6 @@ from taxrec.gateway import (
     HttpChatProvider,
     LlmRequest,
     MockProvider,
-    ScriptedProvider,
     load_template,
     render_categorization_prompt,
     render_direct_recommendation_prompt,
@@ -23,7 +22,7 @@ from taxrec.gateway import (
 )
 from taxrec.matchers import HttpEmbedder
 
-from conftest import CountingProvider
+from conftest import CountingProvider, ScriptedProvider
 
 
 class TestPromptRendering:

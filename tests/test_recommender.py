@@ -18,7 +18,7 @@ from taxrec.core import (
     rank_scores,
 )
 from taxrec.errors import ParseError, StageError
-from taxrec.gateway import MockProvider, ScriptedProvider
+from taxrec.gateway import MockProvider
 from taxrec.matchers import score_titles_against_text
 from taxrec.recommender import (
     TITLE_KEY,
@@ -30,6 +30,8 @@ from taxrec.recommender import (
     recommend,
     score_pool,
 )
+
+from conftest import ScriptedProvider
 
 
 def _item(item_id: str, title: str, pairs: dict[str, str]) -> CategorizedItem:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from taxrec.core import Feature, Taxonomy
 from taxrec.errors import ParseError
-from taxrec.gateway import JSON_REMINDER, MockProvider, ScriptedProvider
+from taxrec.gateway import JSON_REMINDER, MockProvider
 from taxrec.taxonomy import (
     generate_taxonomy,
     load_taxonomy,
@@ -18,6 +18,8 @@ from taxrec.taxonomy import (
     taxonomy_to_prompt_text,
     truncate_features,
 )
+
+from conftest import ScriptedProvider
 
 
 class TestParseTaxonomy:
