@@ -38,10 +38,8 @@ _SWEEP_AXES = {
     "ablation": "component_ablation",
 }
 
-# Fields that count something: a config file must set them to 1 or more.
-_COUNT_FIELDS = (
-    "n", "k", "repeats", "max_workers", "max_in_flight", "n_items", "n_users", "per_user"
-)
+# Fields that count something: a flag or config file must set them to 1 or more.
+_COUNT_FIELDS = ("n", "k", "repeats", "max_workers", "n_items", "n_users", "per_user")
 
 
 @dataclass
@@ -84,7 +82,6 @@ class RunConfig:
     label: str = ""
     verbose: bool = False
     max_workers: int = 4
-    max_in_flight: int = 4
 
     def provenance(self) -> dict:
         """Everything that shaped the run except output location and secrets."""
@@ -106,7 +103,10 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
     config_path = getattr(args, "config", None)
     if config_path:
         where = f"config file {config_path}"
-        file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            file_values = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise TaxRecError(f"{where}: not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise TaxRecError(f"{where}: expected a JSON object, not {type(file_values).__name__}")
         unknown = set(file_values) - set(resolved)
@@ -117,8 +117,6 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
             # A bool is not an int; an int is a float.
             if type(value) is not kind and not (kind is float and type(value) is int):
                 raise TaxRecError(f"{where}: {f.name!r} must be a {kind.__name__}, not {value!r}")
-            if f.name in _COUNT_FIELDS and value < 1:
-                raise TaxRecError(f"{where}: {f.name!r} must be >= 1, not {value!r}")
             resolved[f.name] = kind(value)
 
     for env_key, field_name in _ENV_KEYS.items():
@@ -130,6 +128,18 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
         if flag_value is not None:
             resolved[field_name] = flag_value
 
+    # Defaults pass and no environment variable sets these: a bad value is a flag's or the file's.
+    def source(name: str) -> str:
+        if getattr(args, name, None) is not None:
+            return f"--{name.replace('_', '-')}"
+        return f"config file {config_path}: {name!r}"
+
+    for name in _COUNT_FIELDS:
+        if resolved[name] < 1:
+            raise TaxRecError(f"{source(name)} must be >= 1, not {resolved[name]!r}")
+    ks = _split(resolved["ks"])
+    if not ks or not all(part.isdecimal() and int(part) >= 1 for part in ks):
+        raise TaxRecError(f"{source('ks')} must list integers >= 1, not {resolved['ks']!r}")
     if not resolved["domain"]:
         resolved["domain"] = _DATASET_DOMAINS.get(str(resolved["dataset"]), "item")
     return RunConfig(**resolved)  # type: ignore[arg-type]
@@ -147,7 +157,6 @@ def build_provider(cfg: RunConfig) -> gateway.Provider:
             base_url=cfg.base_url,
             model_name=cfg.model,
             api_key=cfg.api_key or None,
-            max_in_flight=cfg.max_in_flight,
         )
     raise TaxRecError(f"unknown provider {cfg.provider!r}; expected 'mock' or 'http'")
 
@@ -392,7 +401,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", dest="cache_dir", help="taxonomy/categorization cache directory")
     parser.add_argument("--domain", help="domain label (defaults per dataset)")
     parser.add_argument("--max-workers", dest="max_workers", type=int, help="concurrent pipeline calls")
-    parser.add_argument("--max-in-flight", dest="max_in_flight", type=int, help="HTTP requests in flight")
     parser.add_argument("--verbose", action="store_true", default=None, help="print extra detail")
 
 

@@ -2,16 +2,15 @@
 
 Covers prompt rendering for the three pipeline templates (plus the
 taxonomy-free direct variant), the one HTTP+JSON client that the chat
-provider and the embedder share (retries, typed errors and a bounded
-in-flight count), and a deterministic mock provider that stands in for a
-real model in tests and desk-scale experiments.
+provider and the embedder share (retries and typed errors), and a
+deterministic mock provider that stands in for a real model in tests and
+desk-scale experiments.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import re
-import threading
 import time
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -41,6 +40,11 @@ JSON_REMINDER = (
     "Respond with only a JSON object that maps each feature name to an array of values."
 )
 LINE_REMINDER = "Respond with one 'feature: value' line per feature of the taxonomy."
+
+# HTTP retry policy: request timeout, attempts per post, first backoff (doubling).
+_TIMEOUT_S = 60.0
+_MAX_ATTEMPTS = 4
+_BACKOFF_BASE_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -170,12 +174,12 @@ def ask(
 class HttpJsonClient:
     """One HTTP+JSON endpoint family serving ``model_name``, behind a single :meth:`post`.
 
-    Owns the session, the headers, a semaphore capping in-flight requests,
-    and the retry policy: network errors, 5xx, and 408/429 are retried up to
-    ``max_attempts`` with exponential backoff, or after the ``Retry-After``
-    seconds a 408/429 response gives. 401/403 raise :class:`AuthError`,
-    other 4xx :class:`ContentError`, and exhausted attempts
-    :class:`NetworkError`.
+    Owns the session, the headers and the retry policy: network errors,
+    5xx, and 408/429 (rate limits) are retried up to ``_MAX_ATTEMPTS`` with
+    exponential backoff, or after the ``Retry-After`` seconds a 408/429
+    response gives. 401/403 raise :class:`AuthError`, other 4xx
+    :class:`ContentError`, and exhausted attempts :class:`NetworkError`.
+    Concurrency is bounded only by the caller's worker threads.
     """
 
     def __init__(
@@ -184,23 +188,12 @@ class HttpJsonClient:
         model_name: str,
         api_key: str | None = None,
         *,
-        timeout: float = 60.0,
-        max_attempts: int = 4,
-        backoff_base: float = 0.5,
-        max_in_flight: int = 4,
         session: Any = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.max_in_flight = max_in_flight
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._sleep = sleep
         if session is None:
             import requests
@@ -218,36 +211,35 @@ class HttpJsonClient:
 
         last_error: Exception | None = None
         retry_after: float | None = None
-        with self._semaphore:
-            for attempt in range(self.max_attempts):
-                if attempt:
-                    backoff = self.backoff_base * (2 ** (attempt - 1))
-                    self._sleep(backoff if retry_after is None else retry_after)
-                retry_after = None
-                try:
-                    response = self._session.post(
-                        f"{self.base_url}{path}", json=body, headers=headers, timeout=self.timeout
-                    )
-                except requests.RequestException as exc:
-                    last_error = exc
-                    continue
-                status = response.status_code
-                if status in (401, 403):
-                    raise AuthError(f"provider rejected credentials (HTTP {status})")
-                if status in (408, 429):
-                    retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
-                    last_error = NetworkError(f"provider asked to retry (HTTP {status})")
-                    continue
-                if 400 <= status < 500:
-                    raise ContentError(f"provider rejected request (HTTP {status}): {response.text[:200]}")
-                if status >= 500:
-                    last_error = NetworkError(f"provider failure (HTTP {status})")
-                    continue
-                try:
-                    return response.json()
-                except ValueError as exc:
-                    raise ContentError(f"malformed provider response: {exc}")
-        raise NetworkError(f"provider unreachable after {self.max_attempts} attempts: {last_error}")
+        for attempt in range(_MAX_ATTEMPTS):
+            if attempt:
+                backoff = _BACKOFF_BASE_S * (2 ** (attempt - 1))
+                self._sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
+            try:
+                response = self._session.post(
+                    f"{self.base_url}{path}", json=body, headers=headers, timeout=_TIMEOUT_S
+                )
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
+            status = response.status_code
+            if status in (401, 403):
+                raise AuthError(f"provider rejected credentials (HTTP {status})")
+            if status in (408, 429):
+                retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
+                last_error = NetworkError(f"provider asked to retry (HTTP {status})")
+                continue
+            if 400 <= status < 500:
+                raise ContentError(f"provider rejected request (HTTP {status}): {response.text[:200]}")
+            if status >= 500:
+                last_error = NetworkError(f"provider failure (HTTP {status})")
+                continue
+            try:
+                return response.json()
+            except ValueError as exc:
+                raise ContentError(f"malformed provider response: {exc}")
+        raise NetworkError(f"provider unreachable after {_MAX_ATTEMPTS} attempts: {last_error}")
 
 
 class HttpChatProvider(HttpJsonClient):

@@ -188,8 +188,8 @@ class HttpEmbedder(HttpJsonClient):
     """Embeddings over HTTP+JSON: POST ``{model, input}`` to ``<base>/embeddings``.
 
     Responses follow the usual ``{"data": [{"embedding": [...]}]}`` shape.
-    Vectors are memoized per input text. Retries, typed errors and the
-    in-flight bound are :class:`~taxrec.gateway.HttpJsonClient`'s defaults.
+    Vectors are memoized per input text. Retries and typed errors are
+    :class:`~taxrec.gateway.HttpJsonClient`'s.
     """
 
     def __init__(
@@ -198,10 +198,9 @@ class HttpEmbedder(HttpJsonClient):
         model_name: str = "default",
         api_key: str | None = None,
         *,
-        timeout: float = 60.0,
         session: Any = None,
     ) -> None:
-        super().__init__(base_url, model_name, api_key, timeout=timeout, session=session)
+        super().__init__(base_url, model_name, api_key, session=session)
         self._cache: dict[str, list[float]] = {}
         self._lock = threading.Lock()
 

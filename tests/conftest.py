@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 from typing import Sequence
 
 import pytest
@@ -58,6 +59,19 @@ class CountingProvider:
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+class LatencyProvider:
+    """Wraps a provider, sleeping ``latency_s`` before each reply: a fixed model latency."""
+
+    def __init__(self, inner, latency_s: float):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.latency_s = latency_s
+
+    def complete(self, request: LlmRequest) -> LlmResponse:
+        time.sleep(self.latency_s)
+        return self.inner.complete(request)
 
 
 class ScriptedProvider:

@@ -157,7 +157,7 @@ def test_criterion_04_end_to_end_mock_determinism(tmp_path, monkeypatch):
 # sha256 of the criterion-04 outputs. A change that moves these bytes on
 # purpose updates the digests and says why in CHANGES.md.
 CRITERION_04_SHA256 = {
-    "report.json": "64a35bf547be8369b4a09e75cbd8a599db744c084e6c28b5762dd302c531dd95",
+    "report.json": "d2a372b07ffa4c7a969b347b19077e8e1dc8264ef9a21560306604c0e7a4f581",
     "table.txt": "1a7eb4ddcdace79c2979b7c9feb0e32d87c654150da81e51d7b8ab85112b5c20",
 }
 
@@ -177,16 +177,20 @@ def test_criterion_04_report_bytes_pinned(tmp_path, monkeypatch):
 # taxonomy-free direct path and the free-text matchers, and cut the
 # taxonomy to each feature count.
 SWEEP_SHA256 = {
+    "matcher": {
+        "report.json": "c6064df9db97bbdb9d7936551dcb1a8256fd58cba41c96d6a7f1c20af53be969",
+        "table.txt": "863d61f1fd9a9c0cc6f78dfa200ea878bfadcd48449ed5d31fef5ca14aad60ce",
+    },
     "prompt-variant": {
-        "report.json": "f0044fe14a61b3fceb1cd6e5b539cc49b0075408f1f98b840e4b2b4ea4e85b30",
+        "report.json": "54ed974f16b322a28d84515defcdc32313f150b20c46ba593619125d998533f8",
         "table.txt": "088a93c9a77daa1a5f5e3e1b07f241770d2b9a4ca6215943d713daa4dc4f32b1",
     },
     "ablation": {
-        "report.json": "da0ef730f4fd73fa53f4b62be366928176c4cdceb649893bb0186e3fa6acb5e5",
+        "report.json": "81747b9eb527f5f1efd75aa55f8f26e35c96125610ca331c8d27a2167533239b",
         "table.txt": "25edc251382a0477f9dd60f3c7d644f3589d2b8f4fb6dd77f18e97ea87b5bd67",
     },
     "feature-count": {
-        "report.json": "2cc669e97d73ce5899495aae778102f4ae09f8e65b8ba42d0d34b2bcb7de97eb",
+        "report.json": "7ddade5c1b25f793adf75a9db57cb0026ae3c7f7e013634422171ed8af0e012c",
         "table.txt": "e529d64b65f852ef6709c3a999f6be91dc62b78f6b00eaf709bc5c0cdde54baf",
     },
 }
@@ -206,7 +210,7 @@ def test_criterion_04_sweep_report_bytes_pinned(tmp_path, monkeypatch, axis):
 # sha256 of the criterion-04 run with every built-in method, so the
 # average-embedding baseline's bytes are pinned too.
 ALL_METHODS_SHA256 = {
-    "report.json": "b4ecfee8e46d9087e7fa23e16b959ac730765097a4e69367e54ba956cb605f58",
+    "report.json": "4e0a3a5949c07f5e655d98f3ca93d5ef69a7ce1f7ab936cea7fa4595d74c9159",
     "table.txt": "c6c4be41f787efd8b31b89cdc3b6bf2418594315537749fc8986e50e8177e381",
 }
 

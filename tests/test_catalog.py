@@ -26,7 +26,7 @@ from taxrec.errors import TaxRecError
 from taxrec.gateway import LINE_REMINDER
 from taxrec.taxonomy import truncate_features
 
-from conftest import CountingProvider, FailAfterProvider, ScriptedProvider
+from conftest import CountingProvider, FailAfterProvider, LatencyProvider, ScriptedProvider
 
 
 def write_movielens(tmp_path, item_lines, data_lines):
@@ -297,6 +297,18 @@ class TestCategorizePool:
         cpool = categorize_pool(counting, pool, small_taxonomy, tmp_path, max_workers=4)
         assert counting.calls == 60
         assert cpool.coverage == 1.0
+
+    def test_worker_threads_are_the_one_concurrency_bound(self, tmp_path, mock7, small_taxonomy):
+        # W workers over replies that each take L seconds: a cold pass runs
+        # near W / L items per second and never has more than W calls open.
+        workers, latency_s, pool = 8, 0.02, small_pool(160)
+        provider = CountingProvider(LatencyProvider(mock7, latency_s))
+        started = time.perf_counter()
+        cpool = categorize_pool(provider, pool, small_taxonomy, tmp_path, max_workers=workers)
+        items_per_s = len(pool.items) / (time.perf_counter() - started)
+        assert cpool.coverage == 1.0
+        assert items_per_s >= 0.85 * workers / latency_s
+        assert provider.peak_in_flight <= workers
 
     def test_failures_under_threshold_tolerated(self, tmp_path, small_taxonomy):
         pool = small_pool(100)

@@ -1,6 +1,7 @@
 """CLI flows: subcommands, configuration precedence, help coverage."""
 from __future__ import annotations
 
+import argparse
 import json
 import tempfile
 import warnings
@@ -318,24 +319,38 @@ class TestConfigPrecedence:
             resolve_config(args, env={})
 
     @pytest.mark.parametrize(
-        "content,named",
+        "config_text,flags,named",
         [
-            ({"k": "ten"}, "'k'"),
-            ({"max_workers": "2"}, "'max_workers'"),
-            ({"n": -5}, "'n'"),
-            ({"repeats": True}, "'repeats'"),
-            ("str", "JSON object"),
+            pytest.param(json.dumps({"k": "ten"}), [], "'k'", id="content0-'k'"),
+            pytest.param(json.dumps({"max_workers": "2"}), [], "'max_workers'", id="content1-'max_workers'"),
+            pytest.param(json.dumps({"n": -5}), [], "'n'", id="content2-'n'"),
+            pytest.param(json.dumps({"repeats": True}), [], "'repeats'", id="content3-'repeats'"),
+            pytest.param(json.dumps("str"), [], "JSON object", id="str-JSON object"),
+            pytest.param(json.dumps({"ks": "1,0"}), [], "'ks'", id="file-ks-0"),
+            pytest.param("{bad", [], "not valid JSON", id="file-not-json"),
+            pytest.param(None, ["--n", "-5"], "--n", id="flag-n-negative"),
+            pytest.param(None, ["--max-workers", "0"], "--max-workers", id="flag-max-workers-0"),
+            pytest.param(None, ["--ks", "1,x"], "--ks", id="flag-ks-not-int"),
+            pytest.param(None, ["--ks", ","], "--ks", id="flag-ks-empty"),
+            pytest.param(None, ["--ks", "0,5"], "--ks", id="flag-ks-0"),
+            pytest.param(None, ["--k", "0"], "--k", id="flag-k-0"),
         ],
     )
-    def test_bad_config_file_is_one_error_line(self, workdir, capsys, content, named):
+    def test_bad_config_file_is_one_error_line(self, workdir, capsys, config_text, flags, named):
+        # A bad count, ks or config file fails before any work, from any source.
+        args = ["evaluate", *flags, "--out", "run"]
         config_file = workdir / "cfg.json"
-        config_file.write_text(json.dumps(content))
-        assert run_cli(EVAL_ARGS + ["--config", str(config_file), "--out", "run"]) == 1
+        if config_text is not None:
+            config_file.write_text(config_text)
+            args += ["--config", str(config_file)]
+        assert run_cli(args) == 1
         captured = capsys.readouterr()
         error_lines = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1
-        assert str(config_file) in error_lines[0] and named in error_lines[0]
+        assert named in error_lines[0]
+        assert (str(config_file) in error_lines[0]) == (config_text is not None)
         assert "Traceback" not in captured.out + captured.err
+        assert not (workdir / "run").exists()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -395,7 +410,7 @@ class TestHelpCoverage:
                 "evaluate",
                 ["--n", "--seed", "--repeats", "--ks", "--methods", "--sweep", "--values",
                  "--external", "--out", "--label", "--history-titles", "--rec-titles",
-                 "--feature-count", "--max-in-flight", "--embed-base-url"],
+                 "--feature-count", "--embed-base-url"],
             ),
         ],
     )
@@ -405,3 +420,17 @@ class TestHelpCoverage:
         help_text = capsys.readouterr().out
         for flag in flags:
             assert flag in help_text
+
+    def test_flags_and_config_fields_match(self):
+        # Every flag sets one RunConfig field and every field has a flag.
+        parser = build_parser()
+        subparsers = next(
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        )
+        dests = {
+            action.dest
+            for subparser in subparsers.choices.values()
+            for action in subparser._actions
+            if action.dest != "help"
+        }
+        assert dests - {"command", "config", "ids", "ids_file"} == {f.name for f in fields(RunConfig)}

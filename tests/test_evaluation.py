@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from taxrec.catalog import Interaction, ItemPool
+from taxrec.catalog import Interaction, ItemPool, categorize_pool
 from taxrec.core import InteractionSequence, Item, RankedList, rank_scores
 from taxrec.errors import TaxRecError
 from taxrec.evaluation import (
@@ -24,7 +24,12 @@ from taxrec.evaluation import (
     run_sweep,
     write_report,
 )
-from taxrec.recommender import RecommendConfig
+from taxrec.gateway import MockProvider
+from taxrec.recommender import RecommendConfig, recommend
+from taxrec.synthetic import make_synthetic_dataset
+from taxrec.taxonomy import generate_taxonomy
+
+from conftest import CountingProvider, LatencyProvider
 
 
 def _items(n: int) -> list[Item]:
@@ -306,6 +311,26 @@ class TestRunExperiment:
         sequences = _sequences(4, items)
         with pytest.warns(UserWarning, match="identical"):
             run_experiment({"m": _constant_method(1)}, sequences, repeats=3, max_workers=1)
+
+    def test_worker_threads_bound_provider_calls(self, tmp_path):
+        mock = MockProvider(7)
+        pool, interactions = make_synthetic_dataset(
+            n_items=60, n_users=24, interactions_per_user=12, seed=7
+        )
+        doc = generate_taxonomy(mock, "book", tmp_path)
+        cpool = categorize_pool(mock, pool, doc.taxonomy, tmp_path)
+        sequences = build_movie_sequences(interactions, pool, sample_n=24, seed=7)
+        workers = 8
+        provider = CountingProvider(LatencyProvider(mock, 0.02))
+
+        def method(sequence: InteractionSequence) -> RankedList:
+            return recommend(
+                provider, sequence, cpool, doc.taxonomy, RecommendConfig(), domain_label="book"
+            ).ranked
+
+        run_experiment({"taxrec": method}, sequences, repeats=1, max_workers=workers)
+        assert provider.calls == len(sequences)
+        assert provider.peak_in_flight <= workers
 
     def test_shallow_ranked_list_rejected(self):
         items = _items(5)

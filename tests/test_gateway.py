@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import random
-import threading
-import time
 from collections import Counter
 
 import pytest
@@ -118,14 +116,13 @@ def _ok_body(text="hello"):
     }
 
 
-def _provider(outcomes, **kwargs):
+def _provider(outcomes):
     return HttpChatProvider(
         "http://llm.test/v1",
         "fake",
         api_key="secret",
         session=FakeSession(outcomes),
         sleep=lambda _: None,
-        **kwargs,
     )
 
 
@@ -149,10 +146,10 @@ class TestHttpChatProvider:
         assert provider._session.calls == 3
 
     def test_gives_up_after_attempt_limit(self):
-        provider = _provider([(500, {})], max_attempts=3)
+        provider = _provider([(500, {})])
         with pytest.raises(NetworkError):
             provider.complete(LlmRequest(prompt="hi"))
-        assert provider._session.calls == 3
+        assert provider._session.calls == 4
 
     def test_auth_error_no_retries(self):
         provider = _provider([(401, {})])
@@ -166,11 +163,10 @@ class TestHttpChatProvider:
             provider.complete(LlmRequest(prompt="hi"))
         assert provider._session.calls == 1
 
-    def _recorded(self, outcomes, **kwargs):
+    def _recorded(self, outcomes):
         sleeps: list[float] = []
         provider = HttpChatProvider(
-            "http://llm.test/v1", "fake", session=FakeSession(outcomes),
-            sleep=sleeps.append, backoff_base=0.5, **kwargs,
+            "http://llm.test/v1", "fake", session=FakeSession(outcomes), sleep=sleeps.append
         )
         return provider, sleeps
 
@@ -196,11 +192,11 @@ class TestHttpChatProvider:
         assert sleeps == [0.5, 1.0]
 
     def test_429_gives_up_after_attempt_limit(self):
-        provider, sleeps = self._recorded([(429, {}, {"Retry-After": "1"})], max_attempts=3)
+        provider, sleeps = self._recorded([(429, {}, {"Retry-After": "1"})])
         with pytest.raises(NetworkError, match="HTTP 429"):
             provider.complete(LlmRequest(prompt="hi"))
-        assert provider._session.calls == 3
-        assert sleeps == [1.0, 1.0]
+        assert provider._session.calls == 4
+        assert sleeps == [1.0, 1.0, 1.0]
 
     def test_malformed_body_is_content_error(self):
         provider = _provider([(200, {"nope": True})])
@@ -224,35 +220,6 @@ class TestHttpChatProvider:
             "temperature": 0.0,
             "max_tokens": 64,
         }
-
-    def test_in_flight_bound_enforced(self):
-        peak = 0
-        current = 0
-        lock = threading.Lock()
-
-        class SlowSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                nonlocal peak, current
-                with lock:
-                    current += 1
-                    peak = max(peak, current)
-                time.sleep(0.01)
-                with lock:
-                    current -= 1
-                return FakeResponse(200, _ok_body())
-
-        provider = HttpChatProvider(
-            "http://llm.test", "fake", session=SlowSession(), max_in_flight=2, sleep=lambda _: None
-        )
-        threads = [
-            threading.Thread(target=lambda: provider.complete(LlmRequest(prompt="hi")))
-            for _ in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert peak <= 2
 
 
 def _vectors(*rows):
@@ -290,7 +257,7 @@ class TestHttpEmbedder:
         embedder, sleeps = self._embedder([(500, {})])
         with pytest.raises(NetworkError, match="HTTP 500"):
             embedder.embed(["a"])
-        assert embedder._session.calls == embedder.max_attempts == 4
+        assert embedder._session.calls == 4
         assert sleeps == [0.5, 1.0, 2.0]
 
     @pytest.mark.parametrize(
