@@ -70,6 +70,10 @@ class CategorizedPool:
     entries: Mapping[str, CategorizedItem]
     coverage: float
     pool: ItemPool
+    # Built from this pool on first use and kept for its life, keyed by the
+    # builder's settings (see recommender.build_pool_index). A pool made by
+    # ``dataclasses.replace`` starts empty.
+    indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass

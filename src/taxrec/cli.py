@@ -39,7 +39,9 @@ _SWEEP_AXES = {
 }
 
 # Fields that count something: a flag or config file must set them to 1 or more.
-_COUNT_FIELDS = ("n", "k", "repeats", "max_workers", "n_items", "n_users", "per_user")
+_COUNT_FIELDS = (
+    "n", "k", "repeats", "max_workers", "n_items", "n_users", "per_user", "feature_count"
+)
 
 
 @dataclass
@@ -128,7 +130,8 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
         if flag_value is not None:
             resolved[field_name] = flag_value
 
-    # Defaults pass and no environment variable sets these: a bad value is a flag's or the file's.
+    # Defaults pass and no environment variable sets these: a bad value is a
+    # flag's or the file's, and is refused before any taxonomy or pool work.
     def source(name: str) -> str:
         if getattr(args, name, None) is not None:
             return f"--{name.replace('_', '-')}"
@@ -137,6 +140,10 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
     for name in _COUNT_FIELDS:
         if resolved[name] < 1:
             raise TaxRecError(f"{source(name)} must be >= 1, not {resolved[name]!r}")
+    if not 0 <= resolved["concentration"] <= 1:
+        raise TaxRecError(
+            f"{source('concentration')} must be in [0, 1], not {resolved['concentration']!r}"
+        )
     ks = _split(resolved["ks"])
     if not ks or not all(part.isdecimal() and int(part) >= 1 for part in ks):
         raise TaxRecError(f"{source('ks')} must list integers >= 1, not {resolved['ks']!r}")
@@ -328,14 +335,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     base_rec_cfg = _recommend_config(cfg, depth)
 
     def make_method(rec_cfg: recommender.RecommendConfig) -> evaluation.MethodFn:
-        index = (
-            recommender.build_pool_index(cpool, include_titles=rec_cfg.recommend_with_titles)
-            if rec_cfg.matcher == "taxonomy"
-            else None
-        )
         return lambda sequence: recommender.recommend(
             provider, sequence, cpool, doc.taxonomy, rec_cfg,
-            domain_label=cfg.domain, embedder=embedder, index=index,
+            domain_label=cfg.domain, embedder=embedder,
         ).ranked
 
     if cfg.sweep:

@@ -51,6 +51,14 @@ class Feature:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError(f"feature {self.name!r} has no values")
+        # Shared from here, so a truncated Taxonomy, which keeps its
+        # Feature objects, adds nothing.
+        for value in self.values:
+            try:
+                pair = FeaturePair(self.name, value)
+            except ValueError:
+                continue  # no pool or reply can hold such a pair
+            _TAXONOMY_PAIRS.setdefault(pair, pair)
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,19 @@ class Taxonomy:
         return tuple(f.name for f in self.features)
 
 
+# The (feature, value) pairs of every taxonomy Feature built, each held
+# once. It grows with taxonomies built, never with requests or replies: a
+# pair outside every taxonomy is built anew and not added.
+_TAXONOMY_PAIRS: dict[tuple[str, str], FeaturePair] = {}
+
+
 class FeaturePair(tuple):
     """A normalized (feature name, value) pair.
 
     A 2-tuple, so hashing, equality and ordering (by key, then value) run
     in C, and a pair compares equal to the plain tuple ``(key, value)``.
+    A pair of a taxonomy built in this process is one shared object: the
+    constructor returns it from :data:`_TAXONOMY_PAIRS`.
     """
 
     __slots__ = ()
@@ -86,7 +102,8 @@ class FeaturePair(tuple):
     def __new__(cls, key: str, value: str) -> FeaturePair:
         if not (isinstance(key, str) and isinstance(value, str) and key and value):
             raise ValueError("feature pair key and value must be non-empty strings")
-        return tuple.__new__(cls, (key, value))
+        shared = _TAXONOMY_PAIRS.get((key, value))
+        return shared if shared is not None else tuple.__new__(cls, (key, value))
 
     key = property(itemgetter(0), doc="The feature name.")
     value = property(itemgetter(1), doc="The feature value.")

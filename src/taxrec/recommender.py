@@ -2,15 +2,18 @@
 
 Maps a user's history onto the categorized pool, prompts the model for a
 feature-formatted recommendation, parses it into a feature set, and ranks
-the pool by feature intersection through an inverted index. All ablation
-switches (taxonomy off, free-text matchers, title toggles) live here.
+the pool by feature intersection through the pool's inverted index, built
+once per pool. All ablation switches (taxonomy off, free-text matchers,
+title toggles) live here.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import gateway
 from ._textparse import iter_content_lines
@@ -133,22 +136,41 @@ def parse_feature_output(s: str, t: Taxonomy, cfg: RecommendConfig) -> FeatureSe
 
 @dataclass(frozen=True)
 class PoolIndex:
-    """Inverted index: feature pair -> item ids carrying it."""
+    """Inverted index over one pool: feature pair -> positions of the items carrying it."""
 
-    postings: Mapping[FeaturePair, tuple[str, ...]]
-    item_ids: tuple[str, ...]
-    include_titles: bool
+    postings: Mapping[FeaturePair, np.ndarray]  # int32 pool positions, ascending
+    item_ids: tuple[str, ...]  # in pool order
+    # The floats 0.0, 1.0, ... up to the most pairs one item posts, as an
+    # object array: every score this pool can take, shared by every request.
+    scores: np.ndarray
+
+
+_NO_HITS = np.empty(0, dtype=np.int32)
+# Guards the first build of an index; later calls read it without the lock.
+_build_lock = threading.Lock()
 
 
 def build_pool_index(pool: CategorizedPool, *, include_titles: bool = False) -> PoolIndex:
-    """Build the pair -> item ids index once per (pool, taxonomy) pair.
+    """The pool's index for one title setting, built on the first call and kept on the pool.
 
     With ``include_titles``, every pool item also posts a ``title`` pair so
     title-carrying recommendations can match through the same scorer. An
     item posts each pair once, even if it was also categorized with it.
+    Later calls, from any thread, return the same object.
     """
-    postings: defaultdict[FeaturePair, list[str]] = defaultdict(list)
-    for item in pool.pool.items:
+    index = pool.indexes.get(include_titles)
+    if index is None:
+        with _build_lock:
+            index = pool.indexes.get(include_titles)
+            if index is None:
+                index = pool.indexes[include_titles] = _build_index(pool, include_titles)
+    return index
+
+
+def _build_index(pool: CategorizedPool, include_titles: bool) -> PoolIndex:
+    positions: defaultdict[FeaturePair, list[int]] = defaultdict(list)
+    most = 0
+    for position, item in enumerate(pool.pool.items):
         categorized = pool.entries.get(item.id)
         pairs = categorized.pairs if categorized is not None else frozenset()
         if include_titles:
@@ -156,32 +178,31 @@ def build_pool_index(pool: CategorizedPool, *, include_titles: bool = False) -> 
             if title:
                 pairs = pairs | {FeaturePair(TITLE_KEY, title)}
         for pair in pairs:
-            postings[pair].append(item.id)
+            positions[pair].append(position)
+        most = max(most, len(pairs))
     return PoolIndex(
-        postings={pair: tuple(ids) for pair, ids in postings.items()},
+        postings={pair: np.array(at, dtype=np.int32) for pair, at in positions.items()},
         item_ids=tuple(item.id for item in pool.pool.items),
-        include_titles=include_titles,
+        scores=np.array([float(count) for count in range(most + 1)], dtype=object),
     )
 
 
 def score_pool(
-    f: FeatureSet,
-    pool: CategorizedPool,
-    *,
-    index: PoolIndex | None = None,
-    include_titles: bool = False,
+    f: FeatureSet, pool: CategorizedPool, *, include_titles: bool = False
 ) -> list[tuple[str, float]]:
     """Score every pool item by feature intersection with ``f``.
 
-    Uses the inverted index, so cost scales with |f| times posting-list
-    length rather than pool size times |f|. Output matches the naive
-    per-item :func:`pair_set_intersection_size` scorer exactly, one
+    Counts the pool's index postings of each pair in ``f`` with one
+    ``np.bincount``, so cost scales with |f| times posting-list length plus
+    one pass over the pool. Output matches the naive per-item
+    :func:`pair_set_intersection_size` scorer exactly, one
     (item_id, score) per pool item in pool order.
     """
-    if index is None:
-        index = build_pool_index(pool, include_titles=include_titles)
-    counts = Counter(chain.from_iterable(index.postings.get(pair, ()) for pair in f.pairs))
-    return [(item_id, float(counts.get(item_id, 0))) for item_id in index.item_ids]
+    index = build_pool_index(pool, include_titles=include_titles)
+    postings = index.postings
+    hits = [postings[pair] for pair in f.pairs if pair in postings]
+    counts = np.bincount(np.concatenate(hits or [_NO_HITS]), minlength=len(index.item_ids))
+    return list(zip(index.item_ids, index.scores[counts].tolist()))
 
 
 def _direct_history_text(history: Sequence[Item]) -> str:
@@ -197,7 +218,6 @@ def recommend(
     *,
     domain_label: str | None = None,
     embedder: Embedder | None = None,
-    index: PoolIndex | None = None,
 ) -> Recommendation:
     """Run the full recommendation pipeline for one user sequence.
 
@@ -252,11 +272,7 @@ def recommend(
 
     with stage("match"):
         if cfg.matcher == "taxonomy":
-            if index is not None and index.include_titles != cfg.recommend_with_titles:
-                raise ValueError("prebuilt index does not match the title-matching setting")
-            scores = score_pool(
-                feature_set, pool, index=index, include_titles=cfg.recommend_with_titles
-            )
+            scores = score_pool(feature_set, pool, include_titles=cfg.recommend_with_titles)
         else:
             scores = score_titles_against_text(
                 pool.pool.titles, feature_set.raw_text, cfg.matcher, embedder

@@ -21,6 +21,7 @@ from taxrec.catalog import (
     load_categorized_pool,
     load_movielens,
 )
+from taxrec import core
 from taxrec.core import CategorizedItem, FeaturePair, Item
 from taxrec.errors import TaxRecError
 from taxrec.gateway import LINE_REMINDER
@@ -480,3 +481,26 @@ class TestLoadCategorizedPool:
         pool = small_pool(5)
         with pytest.raises(TaxRecError):
             load_categorized_pool(tmp_path, pool, small_taxonomy, mock7.model_name)
+
+
+class TestTaxonomyPairs:
+    def test_one_object_per_taxonomy_pair(self, tmp_path, mock7, small_taxonomy):
+        pair = FeaturePair("genre", "fiction")
+        assert FeaturePair("genre", "fiction") is pair
+        pool = small_pool(12)
+        categorize_pool(mock7, pool, small_taxonomy, tmp_path)
+        loaded = load_categorized_pool(tmp_path, pool, small_taxonomy, mock7.model_name)
+        loaded_pairs = {p for entry in loaded.entries.values() for p in entry.pairs}
+        assert loaded_pairs
+        for loaded_pair in loaded_pairs:
+            assert FeaturePair(*loaded_pair) is loaded_pair
+        parsed = filter_pairs("Genre: Fiction\ntheme: love", small_taxonomy.feature_names)
+        assert {id(p) for p in parsed} == {id(pair), id(FeaturePair("theme", "love"))}
+
+    def test_reply_values_outside_the_taxonomy_are_not_kept(self, small_taxonomy):
+        size = len(core._TAXONOMY_PAIRS)
+        reply = "\n".join(f"genre: unlisted {n}" for n in range(1000))
+        parsed = filter_pairs(reply, small_taxonomy.feature_names)
+        assert len(parsed) == 1000
+        assert len(core._TAXONOMY_PAIRS) == size
+        assert FeaturePair("genre", "unlisted 7") is not FeaturePair("genre", "unlisted 7")

@@ -334,6 +334,10 @@ class TestConfigPrecedence:
             pytest.param(None, ["--ks", ","], "--ks", id="flag-ks-empty"),
             pytest.param(None, ["--ks", "0,5"], "--ks", id="flag-ks-0"),
             pytest.param(None, ["--k", "0"], "--k", id="flag-k-0"),
+            pytest.param(None, ["--feature-count", "0"], "--feature-count", id="flag-features-0"),
+            pytest.param(json.dumps({"feature_count": 0}), [], "'feature_count'", id="file-features-0"),
+            pytest.param(None, ["--concentration", "2"], "--concentration", id="flag-conc-2"),
+            pytest.param(json.dumps({"concentration": -0.5}), [], "'concentration'", id="file-conc-neg"),
         ],
     )
     def test_bad_config_file_is_one_error_line(self, workdir, capsys, config_text, flags, named):
@@ -351,6 +355,7 @@ class TestConfigPrecedence:
         assert (str(config_file) in error_lines[0]) == (config_text is not None)
         assert "Traceback" not in captured.out + captured.err
         assert not (workdir / "run").exists()
+        assert not (workdir / ".taxrec-cache").exists()  # no taxonomy, no items.jsonl
 
     @settings(max_examples=150, deadline=None)
     @given(

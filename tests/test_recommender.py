@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,12 +301,18 @@ class TestScorePool:
         regrown = dict(score_pool(feature_set, grown_pool))
         assert regrown[target_id] >= base[target_id]
 
-    def test_prebuilt_index_matches(self):
+    def test_items_missing_from_entries_score_zero(self):
         rng = random.Random(17)
         cpool = random_categorized_pool(rng, 50, 6)
-        feature_set = random_feature_set(rng, 6)
-        index = build_pool_index(cpool)
-        assert score_pool(feature_set, cpool, index=index) == score_pool(feature_set, cpool)
+        uncategorized = [item.id for item in cpool.pool.items if item.id not in cpool.entries]
+        assert uncategorized
+        every_pair = FeatureSet(
+            pairs=frozenset(pair for entry in cpool.entries.values() for pair in entry.pairs),
+            raw_text="",
+        )
+        scores = dict(score_pool(every_pair, cpool))
+        assert all(scores[item_id] == 0.0 for item_id in uncategorized)
+        assert all(scores[item_id] == len(entry.pairs) for item_id, entry in cpool.entries.items())
 
     def test_title_pairs_only_when_enabled(self):
         entry = _item("x", "The Hobbit", {"genre": "fiction"})
@@ -317,6 +327,56 @@ class TestScorePool:
         with_titles = dict(score_pool(feature_set, cpool, include_titles=True))
         assert without["x"] == 0.0
         assert with_titles["x"] == 1.0
+
+
+class TestPoolIndex:
+    def test_built_once_per_title_setting(self):
+        cpool = random_categorized_pool(random.Random(3), 40, 5)
+        for include_titles in (False, True):
+            first = build_pool_index(cpool, include_titles=include_titles)
+            assert build_pool_index(cpool, include_titles=include_titles) is first
+        assert build_pool_index(cpool) is not build_pool_index(cpool, include_titles=True)
+        assert all(postings.dtype == np.int32 for postings in first.postings.values())
+
+    def test_concurrent_first_calls_build_one_index_per_setting(self):
+        cpool = random_categorized_pool(random.Random(8), 1000, 8)
+        feature_set = random_feature_set(random.Random(9), 8)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def first_call(include_titles):
+            barrier.wait(timeout=10)
+            index = build_pool_index(cpool, include_titles=include_titles)
+            scores = score_pool(feature_set, cpool, include_titles=include_titles)
+            results.append((include_titles, index, scores))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call, args=(n % 2 == 1,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert set(cpool.indexes) == {False, True}
+        for include_titles, index, scores in results:
+            assert index is cpool.indexes[include_titles]
+            assert scores == score_pool(feature_set, cpool, include_titles=include_titles)
+
+    def test_two_pools_never_share_an_index(self):
+        cpool = random_categorized_pool(random.Random(4), 30, 4)
+        twin = replace(cpool)
+        assert twin == cpool
+        assert build_pool_index(twin) is not build_pool_index(cpool)
+        item, new_pairs = cpool.pool.items[0], frozenset({FeaturePair("new", "pair")})
+        grown = replace(cpool, entries={**cpool.entries, item.id: CategorizedItem(item, new_pairs)})
+        feature_set = FeatureSet(pairs=new_pairs, raw_text="")
+        assert dict(score_pool(feature_set, cpool))[item.id] == 0.0
+        assert dict(score_pool(feature_set, grown))[item.id] == 1.0
 
 
 # Few keys, values, ids and titles, so equal scores (and ties at the k cut)
