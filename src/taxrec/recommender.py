@@ -3,8 +3,9 @@
 Maps a user's history onto the categorized pool, prompts the model for a
 feature-formatted recommendation, parses it into a feature set, and ranks
 the pool by feature intersection through the pool's inverted index, built
-once per pool. All ablation switches (taxonomy off, free-text matchers,
-title toggles) live here.
+once per pool. Only the items scoring at least the k-th largest score are
+ranked; no other item can reach the top k. All ablation switches (taxonomy
+off, free-text matchers, title toggles) live here.
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ class PoolIndex:
     """Inverted index over one pool: feature pair -> positions of the items carrying it."""
 
     postings: Mapping[FeaturePair, np.ndarray]  # int32 pool positions, ascending
-    item_ids: tuple[str, ...]  # in pool order
+    item_ids: np.ndarray  # object array of ids, in pool order
     # The floats 0.0, 1.0, ... up to the most pairs one item posts, as an
     # object array: every score this pool can take, shared by every request.
     scores: np.ndarray
@@ -182,27 +183,38 @@ def _build_index(pool: CategorizedPool, include_titles: bool) -> PoolIndex:
         most = max(most, len(pairs))
     return PoolIndex(
         postings={pair: np.array(at, dtype=np.int32) for pair, at in positions.items()},
-        item_ids=tuple(item.id for item in pool.pool.items),
+        item_ids=np.array([item.id for item in pool.pool.items], dtype=object),
         scores=np.array([float(count) for count in range(most + 1)], dtype=object),
     )
 
 
 def score_pool(
-    f: FeatureSet, pool: CategorizedPool, *, include_titles: bool = False
+    f: FeatureSet, pool: CategorizedPool, *, include_titles: bool = False, k: int | None = None
 ) -> list[tuple[str, float]]:
-    """Score every pool item by feature intersection with ``f``.
+    """Score the pool items that can reach the top ``k`` by feature intersection with ``f``.
 
     Counts the pool's index postings of each pair in ``f`` with one
     ``np.bincount``, so cost scales with |f| times posting-list length plus
-    one pass over the pool. Output matches the naive per-item
-    :func:`pair_set_intersection_size` scorer exactly, one
-    (item_id, score) per pool item in pool order.
+    one pass over the pool. Scores equal the naive per-item
+    :func:`pair_set_intersection_size` scorer exactly.
+
+    The cut is the k-th largest count (0 when ``k`` is None or at least the
+    pool size), and every item scoring at least the cut is returned as
+    (item_id, score) in pool order. It is exact for a top-k ranking: an
+    item left out scores strictly below k others, and every tie at the cut
+    is kept, so :func:`rank_scores` breaks it by id as it would on the
+    whole pool.
     """
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     index = build_pool_index(pool, include_titles=include_titles)
     postings = index.postings
     hits = [postings[pair] for pair in f.pairs if pair in postings]
-    counts = np.bincount(np.concatenate(hits or [_NO_HITS]), minlength=len(index.item_ids))
-    return list(zip(index.item_ids, index.scores[counts].tolist()))
+    n = len(index.item_ids)
+    counts = np.bincount(np.concatenate(hits or [_NO_HITS]), minlength=n)
+    cut = np.partition(counts, n - k)[n - k] if k is not None and k < n else 0
+    kept = np.flatnonzero(counts >= cut)
+    return list(zip(index.item_ids[kept].tolist(), index.scores[counts[kept]].tolist()))
 
 
 def _direct_history_text(history: Sequence[Item]) -> str:
@@ -272,7 +284,9 @@ def recommend(
 
     with stage("match"):
         if cfg.matcher == "taxonomy":
-            scores = score_pool(feature_set, pool, include_titles=cfg.recommend_with_titles)
+            scores = score_pool(
+                feature_set, pool, include_titles=cfg.recommend_with_titles, k=cfg.k
+            )
         else:
             scores = score_titles_against_text(
                 pool.pool.titles, feature_set.raw_text, cfg.matcher, embedder

@@ -117,6 +117,57 @@ class TestCategorizeCommand:
         assert code == 1
 
 
+# `taxrec recommend --provider mock --dataset synthetic --ids s0001,s0002,s0003
+# --k 40` after `taxonomy` and `categorize` with the same provider and dataset,
+# generated with the code from before score_pool cut at the k-th largest score.
+# The runs at --k 1 and --k 10 print its header and first k rows. The cuts at
+# 10 and 40 both fall inside a run of tied scores (5.000 and 4.000), so the
+# ascending-id tie-break decides which rows are printed.
+RECOMMEND_K40 = """\
+rank  id              score  title
+   1  s0001           9.000  The Crimson Tide 2
+   2  s0102           7.000  The Restless River 103
+   3  s0039           6.000  The Shattered Letter 40
+   4  s0059           6.000  The Crimson River 60
+   5  s0139           6.000  The Burning Labyrinth 140
+   6  s0150           6.000  The Forgotten Meridian 151
+   7  s0233           6.000  The Iron Orchard 234
+   8  s0002           5.000  The Midnight Garden 3
+   9  s0003           5.000  The Quiet Mirror 4
+  10  s0033           5.000  The Midnight Orchard 34
+  11  s0152           5.000  The Velvet River 153
+  12  s0160           5.000  The Distant Signal 161
+  13  s0162           5.000  The Paper Meridian 163
+  14  s0186           5.000  The Burning Cartographer 187
+  15  s0187           5.000  The Restless Letter 188
+  16  s0192           5.000  The Iron Mirror 193
+  17  s0201           5.000  The Hollow Harbor 202
+  18  s0225           5.000  The Paper Engine 226
+  19  s0231           5.000  The Quiet Signal 232
+  20  s0237           5.000  The Silent Letter 238
+  21  s0021           4.000  The Restless Letter 22
+  22  s0027           4.000  The Quiet Letter 28
+  23  s0053           4.000  The Luminous Garden 54
+  24  s0056           4.000  The Silent Meridian 57
+  25  s0060           4.000  The Iron Signal 61
+  26  s0061           4.000  The Shattered Orchard 62
+  27  s0062           4.000  The Wandering Orchard 63
+  28  s0067           4.000  The Velvet Meridian 68
+  29  s0071           4.000  The Hollow Cartographer 72
+  30  s0075           4.000  The Midnight Frontier 76
+  31  s0095           4.000  The Shattered Cartographer 96
+  32  s0096           4.000  The Paper Mirror 97
+  33  s0104           4.000  The Burning River 105
+  34  s0105           4.000  The Gilded River 106
+  35  s0109           4.000  The Shattered Cartographer 110
+  36  s0114           4.000  The Shattered Harbor 115
+  37  s0118           4.000  The Crimson Meridian 119
+  38  s0119           4.000  The Shattered Sparrow 120
+  39  s0123           4.000  The Hollow Meridian 124
+  40  s0144           4.000  The Midnight Signal 145
+"""
+
+
 class TestRecommendCommand:
     def _prepare(self, workdir):
         run_cli(["taxonomy", "--domain", "book", "--provider", "mock"])
@@ -156,6 +207,18 @@ class TestRecommendCommand:
         )
         assert code == 1
         assert "ghost42" in capsys.readouterr().err
+
+    def test_golden_output_at_every_cut(self, workdir, capsys):
+        for command in ("taxonomy", "categorize"):
+            assert run_cli([command, "--provider", "mock", "--dataset", "synthetic",
+                            "--cache-dir", "cache"]) == 0
+        for k in (1, 10, 40):
+            capsys.readouterr()
+            code = run_cli(["recommend", "--provider", "mock", "--dataset", "synthetic",
+                            "--cache-dir", "cache", "--ids", "s0001,s0002,s0003", "--k", str(k)])
+            assert code == 0
+            expected = "".join(RECOMMEND_K40.splitlines(keepends=True)[: k + 1])
+            assert capsys.readouterr().out == expected
 
     def test_ids_file(self, workdir, capsys):
         self._prepare(workdir)

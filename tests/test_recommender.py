@@ -328,6 +328,23 @@ class TestScorePool:
         assert without["x"] == 0.0
         assert with_titles["x"] == 1.0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_as_by_rank_scores(self, k):
+        cpool = random_categorized_pool(random.Random(1), 10, 3)
+        feature_set = random_feature_set(random.Random(2), 3)
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            score_pool(feature_set, cpool, k=k)
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            rank_scores(score_pool(feature_set, cpool), k)
+
+    def test_k_at_least_pool_size_returns_every_item(self):
+        cpool = random_categorized_pool(random.Random(6), 25, 4)
+        feature_set = random_feature_set(random.Random(7), 4)
+        every_item = score_pool(feature_set, cpool)
+        assert len(every_item) == 25
+        for k in (25, 26, 1000):
+            assert score_pool(feature_set, cpool, k=k) == every_item
+
 
 class TestPoolIndex:
     def test_built_once_per_title_setting(self):
@@ -425,6 +442,24 @@ class TestRankingProperty:
             scores = score_pool(f, cpool, include_titles=include_titles)
             for k in range(1, len(cpool.pool.items) + 3):
                 ranked = rank_scores(scores, k)
+                assert list(ranked.entries) == oracle_top_k(f, cpool, include_titles, k)
+
+
+class TestTopKCut:
+    @settings(max_examples=200, deadline=None)
+    @given(cpool=tie_heavy_pools(), pairs=st.frozensets(_PAIRS, max_size=6))
+    def test_cut_keeps_every_item_that_can_reach_the_top_k(self, cpool, pairs):
+        f = FeatureSet(pairs=pairs, raw_text="")
+        for include_titles in (False, True):
+            every_item = score_pool(f, cpool, include_titles=include_titles)
+            descending = sorted((score for _, score in every_item), reverse=True)
+            for k in range(1, len(cpool.pool.items) + 3):
+                kept = score_pool(f, cpool, include_titles=include_titles, k=k)
+                in_pool_order = iter(every_item)
+                assert all(entry in in_pool_order for entry in kept)
+                kth_largest = descending[min(k, len(descending)) - 1]
+                assert {e for e in every_item if e[1] >= kth_largest} <= set(kept)
+                ranked = rank_scores(kept, k)
                 assert list(ranked.entries) == oracle_top_k(f, cpool, include_titles, k)
 
 
