@@ -1,13 +1,15 @@
 """Shared domain vocabulary: items, taxonomies, feature pairs, histories, rankings.
 
 Everything here is immutable after construction and safe to share across
-threads. Text normalization is centralized in :func:`normalize_text` so that
+threads; a value derived from immutable fields may be cached on first use.
+Text normalization is centralized in :func:`normalize_text` so that
 feature-pair intersection is well-defined over free-form LLM output.
 """
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -122,6 +124,20 @@ class CategorizedItem:
     item: Item
     pairs: frozenset[FeaturePair]
 
+    @cached_property
+    def joined_values(self) -> Mapping[str, str]:
+        """Feature name -> the item's values of that feature, sorted and
+        comma-joined (``"v1, v2"``), as a prompt shows them.
+
+        Built on first use and kept on the item, so a request renders an
+        item's history line without regrouping its pairs, and a cache load,
+        which never renders, never builds it.
+        """
+        by_key: dict[str, list[str]] = {}
+        for key, value in self.pairs:
+            by_key.setdefault(key, []).append(value)
+        return {key: ", ".join(sorted(values)) for key, values in by_key.items()}
+
 
 @dataclass(frozen=True)
 class FeatureSet:
@@ -206,8 +222,7 @@ def pair_set_intersection_size(
     """Size of the intersection of two feature-pair sets.
 
     Equality is exact (key, value) string equality; both inputs are assumed
-    normalized. This is the core ranking score.
+    normalized. This is the core ranking score. The set intersection runs
+    in C over the smaller set, with the stored hashes.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(1 for pair in a if pair in b)
+    return len(a & b)

@@ -28,7 +28,6 @@ from .core import (
     RankedList,
     Taxonomy,
     normalize_text,
-    pair_set_intersection_size,
     rank_scores,
 )
 from .errors import ParseError, TaxRecError, stage
@@ -91,17 +90,14 @@ def history_to_prompt_text(
 
     With titles: ``Title — key: value; key: value``. Without: the feature
     list alone. Pairs for features outside the (possibly truncated)
-    taxonomy are omitted.
+    taxonomy are omitted. Each item's values come grouped and joined from
+    :attr:`CategorizedItem.joined_values`, so a request only joins them.
     """
     names = taxonomy.feature_names
     lines = []
     for categorized in hc:
-        by_key: dict[str, list[str]] = {}
-        for key, value in categorized.pairs:
-            by_key.setdefault(key, []).append(value)
-        feature_text = "; ".join(
-            [f"{name}: {', '.join(sorted(by_key[name]))}" for name in names if name in by_key]
-        )
+        joined = categorized.joined_values
+        feature_text = "; ".join([f"{name}: {joined[name]}" for name in names if name in joined])
         if cfg.history_with_titles:
             line = f"{categorized.item.title}{gateway.TITLE_SEPARATOR}{feature_text}" if feature_text else categorized.item.title
         else:

@@ -39,7 +39,8 @@ from taxrec.gateway import LlmRequest, LlmResponse, MockProvider
 
 
 class CountingProvider:
-    """Wraps a provider, counting calls and peak concurrency."""
+    """Wraps a provider, counting calls and peak concurrency, and noting
+    when the first call came in and the last reply went out."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -47,10 +48,14 @@ class CountingProvider:
         self.calls = 0
         self.in_flight = 0
         self.peak_in_flight = 0
+        self.first_call_s: float | None = None
+        self.last_reply_s: float | None = None
         self._lock = threading.Lock()
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         with self._lock:
+            if self.first_call_s is None:
+                self.first_call_s = time.perf_counter()
             self.calls += 1
             self.in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
@@ -59,6 +64,7 @@ class CountingProvider:
         finally:
             with self._lock:
                 self.in_flight -= 1
+                self.last_reply_s = time.perf_counter()
 
 
 class LatencyProvider:

@@ -278,6 +278,15 @@ class TestCategorizePool:
         assert counting.calls == 0
         assert cpool.coverage == 1.0
 
+    def test_warm_rerun_leaves_prompt_grouping_unbuilt(self, tmp_path, mock7, small_taxonomy):
+        # A warm pass only reads the cache; the grouping a prompt needs is
+        # built on a request's first use, never at load.
+        pool = small_pool(30)
+        categorize_pool(mock7, pool, small_taxonomy, tmp_path)
+        cpool = categorize_pool(mock7, pool, small_taxonomy, tmp_path)
+        assert len(cpool.entries) == 30
+        assert not any("joined_values" in vars(entry) for entry in cpool.entries.values())
+
     def test_rerun_leaves_cache_bytes_unchanged(self, tmp_path, mock7, small_taxonomy):
         pool = small_pool(20)
         categorize_pool(mock7, pool, small_taxonomy, tmp_path)
@@ -302,11 +311,12 @@ class TestCategorizePool:
     def test_worker_threads_are_the_one_concurrency_bound(self, tmp_path, mock7, small_taxonomy):
         # W workers over replies that each take L seconds: a cold pass runs
         # near W / L items per second and never has more than W calls open.
+        # Timed from the first call to the last reply, so starting the
+        # workers and draining the cache writes are not counted.
         workers, latency_s, pool = 8, 0.02, small_pool(160)
         provider = CountingProvider(LatencyProvider(mock7, latency_s))
-        started = time.perf_counter()
         cpool = categorize_pool(provider, pool, small_taxonomy, tmp_path, max_workers=workers)
-        items_per_s = len(pool.items) / (time.perf_counter() - started)
+        items_per_s = len(pool.items) / (provider.last_reply_s - provider.first_call_s)
         assert cpool.coverage == 1.0
         assert items_per_s >= 0.85 * workers / latency_s
         assert provider.peak_in_flight <= workers

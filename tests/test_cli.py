@@ -168,6 +168,45 @@ rank  id              score  title
 """
 
 
+# `taxrec recommend ... --ids s0001,s0002,s0003 --k 10 --verbose` after the
+# same setup, generated with the code from before each item's values were
+# grouped once on the item: the first 11 lines of RECOMMEND_K40, then this.
+RECOMMEND_K10_VERBOSE_TAIL = """\
+
+--- prompt ---
+You are a book recommender system. Given a list of books the user has read before, please recommend 10 books in a list of features following the format of the given taxonomy.
+
+Taxonomy:
+genre: mystery, fantasy, fiction, non-fiction
+theme: identity, power, love, survival
+tone: humorous, dark, light, serious
+era: ancient, classic, modern, contemporary
+audience: scholar, adult, young adult, children
+setting: rural, frontier, imaginary, urban
+style: narrative, descriptive, experimental, minimalist
+pacing: fast, slow, steady, varied
+language: spanish, german, english, french
+format: standalone, novel, anthology, series
+
+History:
+The Crimson Tide 2 — genre: fantasy; theme: survival; tone: dark; era: ancient; audience: children; setting: urban; style: minimalist; pacing: slow; language: english; format: series
+The Midnight Garden 3 — genre: non-fiction; theme: love; tone: light; era: classic; audience: young adult; setting: urban; style: minimalist; pacing: steady; language: english; format: series
+The Quiet Mirror 4 — genre: fiction; theme: survival; tone: dark; era: ancient; audience: young adult; setting: frontier; style: narrative; pacing: varied; language: spanish; format: series
+
+--- raw output ---
+genre: fantasy
+theme: survival
+tone: dark
+era: ancient
+audience: young adult
+setting: urban
+style: minimalist
+pacing: slow
+language: english
+format: series
+"""
+
+
 class TestRecommendCommand:
     def _prepare(self, workdir):
         run_cli(["taxonomy", "--domain", "book", "--provider", "mock"])
@@ -219,6 +258,18 @@ class TestRecommendCommand:
             assert code == 0
             expected = "".join(RECOMMEND_K40.splitlines(keepends=True)[: k + 1])
             assert capsys.readouterr().out == expected
+
+    def test_golden_verbose_prompt(self, workdir, capsys):
+        for command in ("taxonomy", "categorize"):
+            assert run_cli([command, "--provider", "mock", "--dataset", "synthetic",
+                            "--cache-dir", "cache"]) == 0
+        capsys.readouterr()
+        code = run_cli(["recommend", "--provider", "mock", "--dataset", "synthetic",
+                        "--cache-dir", "cache", "--ids", "s0001,s0002,s0003", "--k", "10",
+                        "--verbose"])
+        assert code == 0
+        expected = "".join(RECOMMEND_K40.splitlines(keepends=True)[:11]) + RECOMMEND_K10_VERBOSE_TAIL
+        assert capsys.readouterr().out == expected
 
     def test_ids_file(self, workdir, capsys):
         self._prepare(workdir)

@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from taxrec.catalog import CategorizedPool, ItemPool
 from taxrec.core import (
     CategorizedItem,
+    Feature,
     FeaturePair,
     FeatureSet,
     InteractionSequence,
     Item,
+    Taxonomy,
     normalize_text,
     pair_set_intersection_size,
     rank_scores,
@@ -34,6 +36,7 @@ from taxrec.recommender import (
     recommend,
     score_pool,
 )
+from taxrec.taxonomy import truncate_features
 
 from conftest import ScriptedProvider
 
@@ -98,6 +101,31 @@ class TestCategorizeHistory:
             categorize_history([Item(id="ghost", title="?")], cpool)
 
 
+# Four taxonomy features, then "mood", which no taxonomy above holds.
+_HISTORY_KEYS = ["genre", "theme", "tone", "era", "mood"]
+_HISTORY_VALUES = ["fiction", "power", "dark", "love", "modern"]
+
+
+def grouped_per_request(hc, cfg: RecommendConfig, taxonomy) -> str:
+    """Reference rendering: groups and sorts each item's pairs on every call."""
+    names = taxonomy.feature_names
+    lines = []
+    for categorized in hc:
+        by_key: dict[str, list[str]] = {}
+        for key, value in categorized.pairs:
+            by_key.setdefault(key, []).append(value)
+        feature_text = "; ".join(
+            [f"{name}: {', '.join(sorted(by_key[name]))}" for name in names if name in by_key]
+        )
+        if cfg.history_with_titles:
+            line = f"{categorized.item.title} — {feature_text}" if feature_text else categorized.item.title
+        else:
+            line = feature_text
+        if line:
+            lines.append(line)
+    return "\n".join(lines)
+
+
 class TestHistoryToPromptText:
     def test_with_titles_golden(self, small_taxonomy, three_item_history):
         cfg = RecommendConfig(history_with_titles=True)
@@ -146,6 +174,35 @@ class TestHistoryToPromptText:
         truncated = truncate_features(small_taxonomy, 1)
         text = history_to_prompt_text(three_item_history, RecommendConfig(), truncated)
         assert "theme" not in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        history=st.lists(
+            st.tuples(
+                st.sampled_from(["Emma", "1984", "Dune", ""]),
+                st.sets(st.tuples(st.sampled_from(_HISTORY_KEYS), st.sampled_from(_HISTORY_VALUES))),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        n_features=st.integers(1, 4),
+        with_titles=st.booleans(),
+    )
+    def test_equals_per_request_grouping(self, history, n_features, with_titles):
+        taxonomy = Taxonomy(
+            domain_label="book",
+            features=tuple(Feature(name, tuple(_HISTORY_VALUES)) for name in _HISTORY_KEYS[:4]),
+        )
+        truncated = truncate_features(taxonomy, n_features)
+        hc = [
+            CategorizedItem(
+                item=Item(id=f"h{index}", title=title),
+                pairs=frozenset(FeaturePair(key, value) for key, value in pairs),
+            )
+            for index, (title, pairs) in enumerate(history)
+        ]
+        cfg = RecommendConfig(history_with_titles=with_titles)
+        assert history_to_prompt_text(hc, cfg, truncated) == grouped_per_request(hc, cfg, truncated)
 
 
 class TestParseFeatureOutput:
