@@ -14,8 +14,6 @@ Entry = tuple[str, list[str]]
 
 # Leading whitespace, then a code-fence marker (group 1) or a bullet or number.
 _PREFIX_RE = re.compile(r"\s*(?:(```)|(?:[-*•]|\d+[.)])\s+)?")
-# The characters that can change a JSON scan's state.
-_STRUCTURAL_RE = re.compile(r'[{}"\\]')
 
 
 def iter_content_lines(text: str) -> list[str]:
@@ -36,45 +34,43 @@ def extract_json_object(text: str) -> tuple[dict, int, int] | None:
     ``start, end`` span, or None.
 
     Scans balanced ``{...}`` spans so surrounding prose and code fences are
-    tolerated. Only the structural characters are visited: between objects
-    the scan jumps to the next ``{``, inside one it steps through the
-    braces, quotes and backslashes, and a backslash in a string consumes
-    exactly the next character.
+    tolerated. Nothing before the first ``{`` can change the scan, so it
+    starts there, and a reply without one costs a single search.
     """
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped_at = -1
-        for match in _STRUCTURAL_RE.finditer(text, start):
-            pos = match.start()
-            ch = match.group()
-            if in_string:
-                if pos == escaped_at:
-                    continue
-                if ch == "\\":
-                    escaped_at = pos + 1
-                elif ch == '"':
-                    in_string = False
+    first = text.find("{")
+    if first == -1:
+        return None
+    depth = 0
+    start = -1
+    in_string = False
+    escaped = False
+    for pos, ch in enumerate(text[first:], first):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
             elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-        else:
-            return None  # an object opened here never closes
-        # Nesting deeper than the interpreter's recursion limit makes
-        # json.loads raise RecursionError: not an object.
-        try:
-            obj = json.loads(text[start : pos + 1])
-        except (json.JSONDecodeError, RecursionError):
-            obj = None
-        if isinstance(obj, dict):
-            return obj, start, pos + 1
-        start = text.find("{", pos + 1)
+                in_string = False
+            continue
+        if ch == '"' and depth > 0:
+            in_string = True
+        elif ch == "{":
+            if depth == 0:
+                start = pos
+            depth += 1
+        elif ch == "}" and depth > 0:
+            depth -= 1
+            if depth == 0:
+                candidate = text[start : pos + 1]
+                # Nesting deeper than the interpreter's recursion limit
+                # makes json.loads raise RecursionError: not an object.
+                try:
+                    obj = json.loads(candidate)
+                except (json.JSONDecodeError, RecursionError):
+                    continue
+                if isinstance(obj, dict):
+                    return obj, start, pos + 1
     return None
 
 

@@ -1,10 +1,6 @@
 """Tolerant extraction helpers for LLM output."""
 from __future__ import annotations
 
-import json
-
-from hypothesis import given, settings, strategies as st
-
 from taxrec._textparse import extract_json_object, iter_content_lines, reply_entries
 
 
@@ -12,27 +8,6 @@ class TestIterContentLines:
     def test_strips_fences_bullets_and_numbers(self):
         text = "```json\n- first\n2. second\n\n* third\n```"
         assert iter_content_lines(text) == ["first", "second", "third"]
-
-
-# Replies over the characters a scan reacts to, with escaped quotes and
-# backslashes, alone or around a serialized object whose strings hold them.
-_NOISE = st.lists(
-    st.sampled_from(
-        ["{", "}", '"', "\\", ":", ",", "[", "]", "a", "1", " ", "\n", '\\"', "\\\\", '"a"', "{}"]
-    ),
-    max_size=20,
-).map("".join)
-_JSON_TEXT = st.text(st.sampled_from('{}"\\:, a1\n'), max_size=6)
-_OBJECTS = st.dictionaries(
-    _JSON_TEXT,
-    st.one_of(
-        _JSON_TEXT,
-        st.integers(0, 9),
-        st.lists(_JSON_TEXT, max_size=2),
-        st.dictionaries(_JSON_TEXT, _JSON_TEXT, max_size=2),
-    ),
-    max_size=3,
-).map(json.dumps)
 
 
 class TestExtractJsonObject:
@@ -50,44 +25,6 @@ class TestExtractJsonObject:
 
     def test_none_when_absent(self):
         assert extract_json_object("no braces at all") is None
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.one_of(_NOISE, st.tuples(_NOISE, _OBJECTS, _NOISE).map("".join)))
-    def test_equals_per_character_scan(self, text):
-        assert extract_json_object(text) == scan_every_character(text)
-
-
-def scan_every_character(text: str):
-    """Reference scanner: visits every character of ``text``."""
-    depth = 0
-    start = -1
-    in_string = False
-    escaped = False
-    for pos, ch in enumerate(text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"' and depth > 0:
-            in_string = True
-        elif ch == "{":
-            if depth == 0:
-                start = pos
-            depth += 1
-        elif ch == "}" and depth > 0:
-            depth -= 1
-            if depth == 0:
-                try:
-                    obj = json.loads(text[start : pos + 1])
-                except (json.JSONDecodeError, RecursionError):
-                    continue
-                if isinstance(obj, dict):
-                    return obj, start, pos + 1
-    return None
 
 
 class TestExtractKvPairs:
