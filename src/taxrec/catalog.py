@@ -176,7 +176,8 @@ def load_bookcrossing(data_dir: Path) -> tuple[ItemPool, list[Interaction]]:
     Expects ``BX-Books.csv`` and ``BX-Book-Ratings.csv``: semicolon-delimited,
     double-quoted, latin-1. Titles keep author and publisher as extra
     fields; the pool is restricted to books that appear in the interaction
-    records (which carry no timestamps).
+    records (which carry no timestamps). Malformed rows, including rows the
+    csv module cannot read, are skipped under the same 1% rule as MovieLens.
     """
     data_dir = Path(data_dir)
     books_path = data_dir / "BX-Books.csv"
@@ -185,11 +186,18 @@ def load_bookcrossing(data_dir: Path) -> tuple[ItemPool, list[Interaction]]:
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
 
+    # A record the csv module refuses (a field over its size limit, say)
+    # comes back empty, and so counts as malformed.
     def rows(path: Path) -> Iterable[list[str]]:
         with path.open(encoding="latin-1", newline="") as handle:
             reader = csv.reader(handle, delimiter=";", quotechar='"', escapechar="\\")
-            for row in reader:
-                yield row
+            while True:
+                try:
+                    yield next(reader)
+                except StopIteration:
+                    return
+                except csv.Error:
+                    yield []
 
     books: dict[str, Item] = {}
     malformed = 0
@@ -276,7 +284,8 @@ def _categorize_with_raw(
     taxonomy: Taxonomy,
     domain_label: str | None,
     stats: CategorizeStats,
-) -> tuple[CategorizedItem, str]:
+) -> tuple[frozenset[FeaturePair], str]:
+    """The item's kept feature pairs and the reply text they were parsed from."""
     domain = domain_label or taxonomy.domain_label or "item"
     prompt = gateway.render_categorization_prompt(
         domain, taxonomy_to_prompt_text(taxonomy), item_prompt_text(item)
@@ -284,7 +293,7 @@ def _categorize_with_raw(
     allowed = set(taxonomy.feature_names)
     attempts = 0
 
-    def parse(text: str) -> tuple[CategorizedItem, str]:
+    def parse(text: str) -> tuple[frozenset[FeaturePair], str]:
         nonlocal attempts
         attempts += 1
         pairs = filter_pairs(text, allowed, stats)
@@ -292,7 +301,7 @@ def _categorize_with_raw(
             if attempts == 1:
                 stats.count_reask()
             raise ParseError(f"no feature pairs parsed for item {item.id!r}", raw_text=text)
-        return CategorizedItem(item=item, pairs=pairs), text
+        return pairs, text
 
     request = gateway.LlmRequest(prompt=prompt, max_output_tokens=512)
     return gateway.ask(provider, request, parse, reminder=gateway.LINE_REMINDER)
@@ -442,7 +451,7 @@ def categorize_pool(
         _start_fresh_line(path)
         with path.open("a", encoding="utf-8") as handle:
             with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                def worker(item: Item) -> tuple[CategorizedItem, str]:
+                def worker(item: Item) -> tuple[frozenset[FeaturePair], str]:
                     return _categorize_with_raw(provider, item, taxonomy, pool.domain_label, stats)
 
                 pending = deque((item, executor.submit(worker, item)) for item in todo)
@@ -453,11 +462,11 @@ def categorize_pool(
                 while pending:
                     item, future = pending.popleft()
                     try:
-                        categorized, raw_text = future.result()
+                        pairs, raw_text = future.result()
                     except Exception as exc:
                         stats.failures.append((item.id, str(exc)))
                     else:
-                        categorized = CategorizedItem(item=item, pairs=_shared_pairs(table, categorized.pairs))
+                        categorized = CategorizedItem(item=item, pairs=_shared_pairs(table, pairs))
                         entries[item.id] = categorized
                         _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
                         done += 1

@@ -28,8 +28,6 @@ _ENV_KEYS = {
     "TAXREC_CACHE_DIR": "cache_dir",
 }
 
-_DATASET_DOMAINS = {"synthetic": "book", "movielens": "movie", "bookcrossing": "book"}
-
 # --sweep name -> evaluation.SWEEP_AXES axis; report labels use the axis.
 _SWEEP_AXES = {
     "feature-count": "feature_count",
@@ -148,7 +146,7 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str] | None = Non
     if not ks or not all(part.isdecimal() and int(part) >= 1 for part in ks):
         raise TaxRecError(f"{source('ks')} must list integers >= 1, not {resolved['ks']!r}")
     if not resolved["domain"]:
-        resolved["domain"] = _DATASET_DOMAINS.get(str(resolved["dataset"]), "item")
+        resolved["domain"] = _DATASETS.get(str(resolved["dataset"]), ("item",))[0]
     return RunConfig(**resolved)  # type: ignore[arg-type]
 
 
@@ -175,33 +173,39 @@ def build_embedder(cfg: RunConfig) -> matchers.Embedder:
     return matchers.HashEmbedder(seed=cfg.mock_seed)
 
 
-def load_dataset(cfg: RunConfig) -> tuple[catalog.ItemPool, list[catalog.Interaction]]:
-    if cfg.dataset == "synthetic":
-        return synthetic.make_synthetic_dataset(
-            n_items=cfg.n_items,
-            n_users=cfg.n_users,
-            interactions_per_user=cfg.per_user,
-            seed=cfg.seed,
-            concentration=cfg.concentration,
-            domain_label=cfg.domain,
-        )
+def _synthetic_dataset(cfg: RunConfig) -> tuple[catalog.ItemPool, list[catalog.Interaction]]:
+    return synthetic.make_synthetic_dataset(
+        n_items=cfg.n_items,
+        n_users=cfg.n_users,
+        interactions_per_user=cfg.per_user,
+        seed=cfg.seed,
+        concentration=cfg.concentration,
+        domain_label=cfg.domain,
+    )
+
+
+def _data_dir(cfg: RunConfig) -> Path:
     if not cfg.data_dir:
         raise TaxRecError(f"dataset {cfg.dataset!r} needs --data-dir")
-    if cfg.dataset == "movielens":
-        return catalog.load_movielens(Path(cfg.data_dir))
-    if cfg.dataset == "bookcrossing":
-        return catalog.load_bookcrossing(Path(cfg.data_dir))
-    raise TaxRecError(f"unknown dataset {cfg.dataset!r}")
+    return Path(cfg.data_dir)
 
 
-def _build_sequences(
-    cfg: RunConfig, pool: catalog.ItemPool, interactions: list[catalog.Interaction]
-) -> list[InteractionSequence]:
-    if cfg.dataset == "bookcrossing":
-        return evaluation.build_book_sequences(
-            interactions, pool, sample_n=cfg.n, seed=cfg.seed
-        )
-    return evaluation.build_movie_sequences(interactions, pool, sample_n=cfg.n, seed=cfg.seed)
+# --dataset name -> (default domain, loader, evaluation sequence builder).
+_DATASETS = {
+    "synthetic": ("book", _synthetic_dataset, evaluation.build_movie_sequences),
+    "movielens": (
+        "movie", lambda cfg: catalog.load_movielens(_data_dir(cfg)), evaluation.build_movie_sequences
+    ),
+    "bookcrossing": (
+        "book", lambda cfg: catalog.load_bookcrossing(_data_dir(cfg)), evaluation.build_book_sequences
+    ),
+}
+
+
+def load_dataset(cfg: RunConfig) -> tuple[catalog.ItemPool, list[catalog.Interaction]]:
+    if cfg.dataset not in _DATASETS:
+        raise TaxRecError(f"unknown dataset {cfg.dataset!r}")
+    return _DATASETS[cfg.dataset][1](cfg)
 
 
 def _progress_line(done: int, total: int, failed: int) -> None:
@@ -322,7 +326,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     cache_dir = Path(cfg.cache_dir)
     provider = build_provider(cfg)
     pool, interactions = load_dataset(cfg)
-    sequences = _build_sequences(cfg, pool, interactions)
+    sequences = _DATASETS[cfg.dataset][2](interactions, pool, sample_n=cfg.n, seed=cfg.seed)
     ks = [int(part) for part in _split(cfg.ks)]
     depth = max([cfg.k, *ks])
 
@@ -407,9 +411,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset", choices=["synthetic", "movielens", "bookcrossing"], help="item pool source"
-    )
+    parser.add_argument("--dataset", choices=list(_DATASETS), help="item pool source")
     parser.add_argument("--data-dir", dest="data_dir", help="dataset directory for real datasets")
     parser.add_argument("--n-items", dest="n_items", type=int, help="synthetic pool size")
     parser.add_argument("--n-users", dest="n_users", type=int, help="synthetic user count")
@@ -488,13 +490,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_categorize(cfg)
         if args.command == "recommend":
             return cmd_recommend(cfg, getattr(args, "ids", "") or "", getattr(args, "ids_file", "") or "")
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_evaluate(cfg)
     except (TaxRecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

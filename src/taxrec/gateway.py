@@ -9,6 +9,7 @@ desk-scale experiments.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 import time
@@ -51,8 +52,9 @@ _BACKOFF_BASE_S = 0.5
 class PromptTemplate:
     """A prompt template loaded from a text asset.
 
-    ``slots`` lists the placeholder names in order of first appearance;
-    rendering with any slot missing is an error.
+    ``slots`` lists the placeholder names in order of first appearance.
+    :meth:`render` is the one check of slot values: every slot must be given
+    and non-empty, and an int slot must be >= 1.
     """
 
     name: str
@@ -63,9 +65,10 @@ class PromptTemplate:
         return tuple(dict.fromkeys(_SLOT_RE.findall(self.text)))
 
     def render(self, **values: object) -> str:
-        missing = [slot for slot in self.slots if slot not in values]
-        if missing:
-            raise ValueError(f"template {self.name!r} missing slots: {missing}")
+        for slot in self.slots:
+            value = values.get(slot)
+            if not value or isinstance(value, int) and value < 1:
+                raise ValueError(f"template {self.name!r}: slot {slot!r} is missing, empty or < 1")
         return self.text.format(**{slot: values[slot] for slot in self.slots})
 
 
@@ -86,15 +89,10 @@ def template_hash(name: str) -> str:
 
 
 def render_taxonomy_prompt(domain_label: str) -> str:
-    if not domain_label:
-        raise ValueError("domain_label must be non-empty")
     return load_template("taxonomy_generation").render(domain=domain_label)
 
 
 def render_categorization_prompt(domain_label: str, taxonomy_text: str, item_text: str) -> str:
-    for label, value in (("domain_label", domain_label), ("taxonomy_text", taxonomy_text), ("item_text", item_text)):
-        if not value:
-            raise ValueError(f"{label} must be non-empty")
     return load_template("categorization").render(
         domain=domain_label, taxonomy=taxonomy_text, item=item_text
     )
@@ -103,15 +101,6 @@ def render_categorization_prompt(domain_label: str, taxonomy_text: str, item_tex
 def render_recommendation_prompt(
     domain_label: str, taxonomy_text: str, categorized_history_text: str, k: int
 ) -> str:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    for label, value in (
-        ("domain_label", domain_label),
-        ("taxonomy_text", taxonomy_text),
-        ("categorized_history_text", categorized_history_text),
-    ):
-        if not value:
-            raise ValueError(f"{label} must be non-empty")
     return load_template("recommendation").render(
         domain=domain_label, taxonomy=taxonomy_text, history=categorized_history_text, k=k
     )
@@ -119,10 +108,6 @@ def render_recommendation_prompt(
 
 def render_direct_recommendation_prompt(domain_label: str, history_text: str, k: int) -> str:
     """Taxonomy-free variant: raw titles in, free-text recommendation out."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not domain_label or not history_text:
-        raise ValueError("domain_label and history_text must be non-empty")
     return load_template("direct_recommendation").render(
         domain=domain_label, history=history_text, k=k
     )
@@ -336,14 +321,9 @@ class MockProvider:
         return features
 
     def _taxonomy_response(self) -> str:
-        lines = ["Here is a taxonomy for this dataset:", "", "```json", "{"]
         features = self.taxonomy_features()
-        for index, (name, values) in enumerate(features):
-            comma = "," if index < len(features) - 1 else ""
-            rendered_values = ", ".join(f'"{v}"' for v in values)
-            lines.append(f'  "{name}": [{rendered_values}]{comma}')
-        lines.extend(["}", "```"])
-        return "\n".join(lines)
+        body = ",\n".join(f'  "{name}": {json.dumps(values)}' for name, values in features)
+        return f"Here is a taxonomy for this dataset:\n\n```json\n{{\n{body}\n}}\n```"
 
     # -- prompt dissection --------------------------------------------
 
@@ -379,46 +359,30 @@ class MockProvider:
 
     # -- recommendation -----------------------------------------------
 
-    @staticmethod
-    def _history_votes(history_text: str) -> dict[str, list[str]]:
-        votes: dict[str, list[str]] = {}
-        for line in history_text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if TITLE_SEPARATOR in line:
-                line = line.split(TITLE_SEPARATOR, 1)[1]
-            for segment in line.split(";"):
-                if ":" not in segment:
-                    continue
-                key, _, value = segment.partition(":")
-                key, value = key.strip(), value.strip()
-                if key and value:
-                    votes.setdefault(key, []).append(value)
-        return votes
-
     def _recommendation_response(self, prompt: str) -> str:
         taxonomy_text = self._section(prompt, TAXONOMY_HEADER, (HISTORY_HEADER,))
         history_text = self._section(prompt, HISTORY_HEADER)
         if not taxonomy_text or not history_text:
             raise ContentError("recommendation prompt missing taxonomy or history section")
-        votes = self._history_votes(history_text)
+        votes: dict[str, dict[str, int]] = {}
+        for line in history_text.splitlines():
+            line = line.strip()
+            if TITLE_SEPARATOR in line:
+                line = line.split(TITLE_SEPARATOR, 1)[1]
+            for segment in line.split(";"):
+                key, _, value = segment.partition(":")
+                key, value = key.strip(), value.strip()
+                if key and value:
+                    counts = votes.setdefault(key, {})
+                    counts[value] = counts.get(value, 0) + 1
         lines = []
         for name, values in line_entries(taxonomy_text):
-            cast = votes.get(name, [])
-            if not cast:
+            counts = votes.get(name)
+            if not counts:
                 continue
-            counts: dict[str, int] = {}
-            for value in cast:
-                counts[value] = counts.get(value, 0) + 1
-            max_count = max(counts.values())
-
-            def vote_order(value: str) -> tuple[int, int, str]:
-                in_list = value in values
-                return (0 if in_list else 1, values.index(value) if in_list else 0, value)
-
-            tied = [value for value, count in counts.items() if count == max_count]
-            lines.append(f"{name}: {min(tied, key=vote_order)}")
+            best = max(counts.values())
+            tied = [value for value, count in counts.items() if count == best]
+            lines.append(f"{name}: {next((value for value in values if value in tied), min(tied))}")
         if not lines:
             raise ContentError("recommendation prompt carried an unreadable history")
         return "\n".join(lines)

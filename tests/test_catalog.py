@@ -159,6 +159,17 @@ class TestLoadBookcrossing:
         with pytest.raises(FileNotFoundError):
             load_bookcrossing(tmp_path)
 
+    def test_row_over_csv_field_limit_counts_as_malformed(self, tmp_path):
+        # The csv module refuses a field over 131,072 characters; the reader
+        # picks up again at the next row.
+        books = [f'"{n}";"Title {n}";"Author";"2001";"Pub";"u";"u";"u"' for n in range(200)]
+        books.insert(100, f'"huge";"{"x" * 200_000}";"Author";"2001";"Pub";"u";"u";"u"')
+        write_bookcrossing(tmp_path, books, [f'"9";"{n}";"5"' for n in range(200)])
+        with pytest.warns(UserWarning, match="1 malformed"):
+            pool, interactions = load_bookcrossing(tmp_path)
+        assert len(pool.items) == 200 and len(interactions) == 200
+        assert "huge" not in pool.by_id and pool.by_id["100"].title == "Title 100"
+
 
 class TestItemPromptText:
     def test_title_only(self):
