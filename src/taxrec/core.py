@@ -79,9 +79,18 @@ class Taxonomy:
         if len(names) != len(set(names)):
             raise ValueError("duplicate feature names after normalization")
 
-    @property
+    @cached_property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
+
+    @cached_property
+    def prompt_text(self) -> str:
+        """Canonical rendering: one ``name: v1, v2`` line per feature, in order.
+
+        Rendered on first use and kept, so every prompt that embeds this
+        taxonomy reuses one string.
+        """
+        return "\n".join(f"{f.name}: {', '.join(f.values)}" for f in self.features)
 
 
 # The (feature, value) pairs of every taxonomy Feature built, each held
@@ -124,19 +133,27 @@ class CategorizedItem:
     item: Item
     pairs: frozenset[FeaturePair]
 
-    @cached_property
-    def joined_values(self) -> Mapping[str, str]:
-        """Feature name -> the item's values of that feature, sorted and
-        comma-joined (``"v1, v2"``), as a prompt shows them.
+    def feature_text(self, names: tuple[str, ...]) -> str:
+        """The item's ``name: v1, v2; name: v3`` text over ``names``, as a prompt shows it.
 
-        Built on first use and kept on the item, so a request renders an
-        item's history line without regrouping its pairs, and a cache load,
-        which never renders, never builds it.
+        Features follow ``names`` and each one's values are sorted; features
+        the item lacks, and pairs outside ``names``, are left out. The text is
+        kept per ``names`` tuple on the item, so each taxonomy (truncated or
+        not) renders an item once; a cache load, which never renders, never
+        builds it.
         """
-        by_key: dict[str, list[str]] = {}
-        for key, value in self.pairs:
-            by_key.setdefault(key, []).append(value)
-        return {key: ", ".join(sorted(values)) for key, values in by_key.items()}
+        # setdefault, atomic on a dict, gives threads rendering the item at
+        # once one shared memo.
+        texts = self.__dict__.setdefault("_feature_texts", {})
+        text = texts.get(names)
+        if text is None:
+            by_key: dict[str, list[str]] = {}
+            for key, value in self.pairs:
+                by_key.setdefault(key, []).append(value)
+            text = texts[names] = "; ".join(
+                [f"{name}: {', '.join(sorted(by_key[name]))}" for name in names if name in by_key]
+            )
+        return text
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,7 @@ class MetricReport:
     scale_factor: float = DISPLAY_SCALE
     label: str = ""
     error: str | None = None
+    # One flat dict of scalars per (repeat, instance, method) evaluation.
     instance_log: list[dict] = field(default_factory=list)
 
     def to_payload(self) -> dict:
@@ -419,13 +420,57 @@ def format_metric_table(reports: Sequence[MetricReport], ks: Sequence[int] = DEF
     return "\n".join(lines)
 
 
+# Instance-log rows in one C-encoder call (the indenting encoder is pure
+# Python), each key already at its report.json depth of 10 spaces.
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * 10, ": "))
+# Stands in for each report's instance log while the rest is indented.
+# json.dumps writes the token "\u0000" (quotes included) for this string
+# only, so a payload string equal to it is the one way to miscount slots.
+_LOG_SLOT = "\x00"
+
+
+def _log_json(rows: list[dict]) -> str:
+    """``rows`` as ``json.dumps(indent=2, sort_keys=True)`` lays them out in report.json.
+
+    Rows are flat dicts of scalars. In their one-line encoding a raw newline
+    comes only from a separator, and a "}" meets one only where a row ends,
+    so the row breaks are found by text and re-indented.
+    """
+    if not (rows and all(rows)):
+        return json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
+    rows_text = _ROWS_ENCODER.encode(rows)[2:-2]
+    return (
+        "[\n        {\n          "
+        + rows_text.replace("},\n          {", "\n        },\n        {\n          ")
+        + "\n        }\n      ]"
+    )
+
+
+def _report_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, with
+    each report's instance log encoded by :func:`_log_json` and spliced in."""
+    reports = payload["reports"]
+    skeleton = {
+        **payload,
+        "reports": [{**report, "instance_log": _LOG_SLOT} for report in reports],
+    }
+    parts = json.dumps(skeleton, indent=2, sort_keys=True).split(json.dumps(_LOG_SLOT))
+    if len(parts) != len(reports) + 1:  # a payload string is the slot itself
+        return json.dumps(payload, indent=2, sort_keys=True)
+    pieces = [parts[0]]
+    for report, after in zip(reports, parts[1:]):
+        pieces += [_log_json(report["instance_log"]), after]
+    return "".join(pieces)
+
+
 def write_report(
     run_dir: Path, config: Mapping, reports: Sequence[MetricReport], ks: Sequence[int] = DEFAULT_KS
 ) -> Path:
     """Write ``report.json`` and ``table.txt`` under the run directory.
 
     Output is byte-stable for identical inputs: keys sorted, no wall-clock
-    content.
+    content. ``report.json`` is ``json.dumps(payload, indent=2,
+    sort_keys=True)`` plus a newline.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -434,6 +479,6 @@ def write_report(
         "reports": [report.to_payload() for report in reports],
     }
     report_path = run_dir / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report_path.write_text(_report_json(payload) + "\n", encoding="utf-8")
     (run_dir / "table.txt").write_text(format_metric_table(reports, ks) + "\n", encoding="utf-8")
     return report_path

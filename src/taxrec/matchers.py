@@ -7,6 +7,7 @@ BLEU, ROUGE-L F1, embedding cosine, and word-bounded exact title lookup.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from collections import Counter
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
@@ -35,6 +36,12 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+# A word character is what ``\w`` matches (alphanumeric or ``_``). The
+# exact-title boundary check and the word runs a TitleTable files titles
+# under both use this one pattern.
+_WORD_RUN = re.compile(r"\w+")
+
+
 class TitleTable(Mapping[str, str]):
     """Read-only item id -> raw title, in pool order, with each title prepared once.
 
@@ -43,14 +50,43 @@ class TitleTable(Mapping[str, str]):
     ``bleu`` and ``rouge`` score), both in the same order as the ids.
     :attr:`taxrec.catalog.ItemPool.titles` builds one per pool, so a pool's
     titles are prepared once, not once per request.
+
+    For ``exact_title``, each title is also filed under the one of its word
+    runs that the fewest titles share; a non-empty title with no word run is
+    always checked. At a word-bounded occurrence every word run of the title
+    is a whole word run of the reply, so a reply checks only the titles
+    filed under its own runs, and every other title scores 0.0.
     """
 
-    __slots__ = ("_titles", "normalized", "tokens")
+    __slots__ = ("_titles", "normalized", "tokens", "_by_run", "_always")
 
     def __init__(self, titles: Mapping[str, str]) -> None:
         self._titles = dict(titles)
         self.normalized = tuple(map(normalize_text, self._titles.values()))
         self.tokens = tuple(tuple(title.split()) for title in self.normalized)
+        runs = [_WORD_RUN.findall(title) for title in self.normalized]
+        shared = Counter(run for title_runs in runs for run in set(title_runs))
+        self._by_run: dict[str, list[int]] = {}
+        self._always: list[int] = []
+        for position, (title, title_runs) in enumerate(zip(self.normalized, runs)):
+            if title_runs:
+                rarest = min(title_runs, key=shared.__getitem__)
+                self._by_run.setdefault(rarest, []).append(position)
+            elif title:
+                self._always.append(position)
+
+    def exact_title_scores(self, text: str) -> list[float]:
+        """:func:`exact_title_score` of every title against ``text``, in pool order."""
+        haystack = normalize_text(text)
+        score = _exact_title_against(haystack)
+        scores = [0.0] * len(self.normalized)
+        filed = self._by_run
+        for positions in [self._always] + [
+            filed[run] for run in set(_WORD_RUN.findall(haystack)) if run in filed
+        ]:
+            for position in positions:
+                scores[position] = score(self.normalized[position])
+        return scores
 
     def __getitem__(self, item_id: str) -> str:
         return self._titles[item_id]
@@ -69,7 +105,8 @@ class TitleTable(Mapping[str, str]):
 # scorer, so scoring a pool prepares the reply once per request. A scorer
 # takes the prepared title (its tokens, or its normalized form for
 # ``exact_title``), which a :class:`TitleTable` holds once per pool. The
-# public per-title functions are the one-title case.
+# public per-title functions are the one-title case. ``exact_title`` takes
+# the reply already normalized, since a TitleTable also reads its word runs.
 
 
 def _bleu_against(reference: str) -> Callable[[Sequence[str]], float]:
@@ -145,13 +182,10 @@ def rouge_l_f1(candidate: str, reference: str) -> float:
     return _rouge_against(reference)(tokenize(candidate))
 
 
-def _is_word_char(char: str) -> bool:
-    return char.isalnum() or char == "_"
-
-
-def _exact_title_against(text: str) -> Callable[[str], float]:
-    haystack = normalize_text(text)
+def _exact_title_against(haystack: str) -> Callable[[str], float]:
     end = len(haystack)
+    # Truthy when the character at the position is a word character.
+    is_word_char = _WORD_RUN.match
 
     def score(needle: str) -> float:
         if not needle or needle not in haystack:
@@ -159,8 +193,8 @@ def _exact_title_against(text: str) -> Callable[[str], float]:
         start = haystack.find(needle)
         while start != -1:
             stop = start + len(needle)
-            if (start == 0 or not _is_word_char(haystack[start - 1])) and (
-                stop == end or not _is_word_char(haystack[stop])
+            if (start == 0 or not is_word_char(haystack, start - 1)) and (
+                stop == end or not is_word_char(haystack, stop)
             ):
                 return 1.0
             start = haystack.find(needle, start + 1)
@@ -175,7 +209,7 @@ def exact_title_score(title: str, text: str) -> float:
     An occurrence counts only when the characters on either side of it are
     not word characters (alphanumeric or ``_``) or are the ends of the text.
     """
-    return _exact_title_against(text)(normalize_text(title))
+    return _exact_title_against(normalize_text(text))(normalize_text(title))
 
 
 class Embedder(Protocol):
@@ -293,5 +327,5 @@ def score_titles_against_text(
     elif method == "rouge":
         scores = map(_rouge_against(text), titles.tokens)
     else:
-        scores = map(_exact_title_against(text), titles.normalized)
+        scores = titles.exact_title_scores(text)
     return list(zip(titles, scores))

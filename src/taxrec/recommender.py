@@ -90,14 +90,14 @@ def history_to_prompt_text(
 
     With titles: ``Title — key: value; key: value``. Without: the feature
     list alone. Pairs for features outside the (possibly truncated)
-    taxonomy are omitted. Each item's values come grouped and joined from
-    :attr:`CategorizedItem.joined_values`, so a request only joins them.
+    taxonomy are omitted. Each item's feature list comes from
+    :meth:`CategorizedItem.feature_text`, built once per item and feature
+    list, so a request only joins lines.
     """
     names = taxonomy.feature_names
     lines = []
     for categorized in hc:
-        joined = categorized.joined_values
-        feature_text = "; ".join([f"{name}: {joined[name]}" for name in names if name in joined])
+        feature_text = categorized.feature_text(names)
         if cfg.history_with_titles:
             line = f"{categorized.item.title}{gateway.TITLE_SEPARATOR}{feature_text}" if feature_text else categorized.item.title
         else:

@@ -75,8 +75,9 @@ def taxonomy_to_prompt_text(t: Taxonomy) -> str:
 
     Feature order is preserved; parsing the rendering reproduces the
     taxonomy (values are normalized and never contain the line delimiters).
+    The text is :attr:`Taxonomy.prompt_text`, rendered once per taxonomy.
     """
-    return "\n".join(f"{f.name}: {', '.join(f.values)}" for f in t.features)
+    return t.prompt_text
 
 
 def taxonomy_fingerprint(model_name: str, t: Taxonomy) -> str:

@@ -296,7 +296,7 @@ class TestCategorizePool:
         categorize_pool(mock7, pool, small_taxonomy, tmp_path)
         cpool = categorize_pool(mock7, pool, small_taxonomy, tmp_path)
         assert len(cpool.entries) == 30
-        assert not any("joined_values" in vars(entry) for entry in cpool.entries.values())
+        assert not any("_feature_texts" in vars(entry) for entry in cpool.entries.values())
 
     def test_rerun_leaves_cache_bytes_unchanged(self, tmp_path, mock7, small_taxonomy):
         pool = small_pool(20)

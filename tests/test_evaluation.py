@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taxrec.catalog import Interaction, ItemPool, categorize_pool
 from taxrec.core import InteractionSequence, Item, RankedList, rank_scores
@@ -422,6 +422,45 @@ class TestReports:
         second = write_report(tmp_path / "b", {"seed": 7}, [report])
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a" / "table.txt").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        logs=st.lists(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "repeat": st.integers(0, 2),
+                        "instance": st.integers(0, 10**6),
+                        "user_id": st.text(max_size=8),
+                        "target_id": st.sampled_from(["i001", "caf\u00e9", "\u65e5\u672c", "\x00", 'a"b\\']),
+                        "method": st.sampled_from(["taxrec", "direct", "popularity"]),
+                        "rank": st.one_of(st.none(), st.integers(1, 10)),
+                        "failed": st.booleans(),
+                    },
+                    optional={"error": st.text(max_size=12)},
+                ),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        label=st.text(max_size=6),
+        error=st.one_of(st.none(), st.text(max_size=6)),
+        config=st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=4))),
+    )
+    @example(logs=[[], []], label="\x00", error=None, config={"\x00": "\x00"})
+    @example(logs=[[{}], [{"rank": None}, {}], [{}, {"rank": 1}]], label="", error=None, config={})
+    def test_report_json_equals_indented_dump(self, tmp_path_factory, logs, label, error, config):
+        # Failed rows with an error, rank null, non-ASCII and NUL strings,
+        # an empty log (a failed sweep cell), empty rows and several reports.
+        metrics = {"m": {"recall@1": 0.5, "ndcg@1": 0.25}}
+        reports = [
+            MetricReport(per_method=metrics, repeats=3, label=label, error=error, instance_log=log)
+            for log in logs
+        ]
+        path = write_report(tmp_path_factory.mktemp("run"), config, reports, ks=(1,))
+        payload = {"config": config, "reports": [report.to_payload() for report in reports]}
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_report_payload_embeds_config(self, tmp_path):
         items = _items(5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taxrec import matchers
 from taxrec.catalog import ItemPool
@@ -79,17 +79,29 @@ class TestExactTitle:
         assert exact_title_score("Emma", "emma, then persuasion") == 1.0
         assert exact_title_score("Emma", "emmanuelle and emma") == 1.0
 
+    def test_word_characters_are_alphanumerics_and_underscore(self):
+        # The one pattern behind both the boundary check and the word runs.
+        for code in range(0x110000):
+            char = chr(code)
+            assert bool(matchers._WORD_RUN.match(char)) == (char.isalnum() or char == "_"), hex(code)
+
     def test_only_zero_or_one(self):
         for text in ("Emma", "emma emma", "no"):
             assert exact_title_score("Emma", text) in (0.0, 1.0)
 
 
 # Prose words, punctuation-only tokens (a title of only these normalizes to
-# empty), whitespace runs, curly quotes and non-ASCII text.
+# empty), whitespace runs, curly quotes and non-ASCII text; ``_`` and digits
+# (Arabic-Indic three, Roman numeral twelve); words with punctuation inside
+# them; a combining acute accent; punctuation that normalize_text keeps
+# (a title of only that has no word run); and titles that are word-prefixes
+# of each other ("war", "war and peace").
 _WORDS = st.sampled_from(
     ["the", "Emma", "emma", "fox", "brown", "a", "war", "peace", "!!", "...", "--", "?",
      "\u201cEmma\u201d", "\u2018tale\u2019", "\u00abfox\u00bb", "caf\u00e9", "na\u00efve",
-     "\u00c9mile", "\u03a9", "\u65e5\u672c", "\u00df", "  ", "\t", "\n"]
+     "\u00c9mile", "\u03a9", "\u65e5\u672c", "\u00df", "  ", "\t", "\n",
+     "_", "snake_case", "7", "2001", "\u0663", "\u216b", "o'brien", "x-men",
+     "e\u0301", "\u2026", "\u00bfqu\u00e9", "war and peace"]
 )
 _SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n ", ", ", ". "])
 
@@ -149,6 +161,12 @@ class TestPoolTitleTable:
         titles=st.lists(_phrases(max_words=5), min_size=1, max_size=8),
         text=_phrases(max_words=30),
         quoted=st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+    )
+    # Titles sharing word runs, and one with no word run, all matched.
+    @example(
+        titles=["War", "War and Peace", "Peace", "X-Men", "O'Brien", "\u2026", "!!", "Warp"],
+        text="Try war and peace, then x-men \u2026 or o'brien",
+        quoted=[],
     )
     def test_pool_table_equals_per_title_function(self, titles, text, quoted):
         text = " ".join([text] + [titles[i] for i in quoted if i < len(titles)])

@@ -204,6 +204,83 @@ class TestHistoryToPromptText:
         cfg = RecommendConfig(history_with_titles=with_titles)
         assert history_to_prompt_text(hc, cfg, truncated) == grouped_per_request(hc, cfg, truncated)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.sets(st.tuples(st.sampled_from(_HISTORY_KEYS), st.sampled_from(_HISTORY_VALUES))),
+            min_size=1,
+            max_size=4,
+        ),
+        truncations=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        renders=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=2, max_size=6),
+    )
+    def test_items_rendered_alternately_under_two_truncations(self, pairs, truncations, renders):
+        # The same items, so the text each one keeps per feature list is
+        # reused across renders, alternate between two truncations of one
+        # taxonomy and both title settings.
+        taxonomy = Taxonomy(
+            domain_label="book",
+            features=tuple(Feature(name, tuple(_HISTORY_VALUES)) for name in _HISTORY_KEYS[:4]),
+        )
+        hc = [
+            CategorizedItem(
+                item=Item(id=f"h{index}", title=f"Title {index}"),
+                pairs=frozenset(FeaturePair(key, value) for key, value in item_pairs),
+            )
+            for index, item_pairs in enumerate(pairs)
+        ]
+        hc.append(hc[0])  # a padded history repeats an item
+        for which, with_titles in renders:
+            truncated = truncate_features(taxonomy, truncations[which])
+            cfg = RecommendConfig(history_with_titles=with_titles)
+            assert history_to_prompt_text(hc, cfg, truncated) == grouped_per_request(
+                hc, cfg, truncated
+            )
+
+
+    def test_threads_rendering_shared_items_under_several_truncations(self):
+        taxonomy = Taxonomy(
+            domain_label="book",
+            features=tuple(Feature(name, tuple(_HISTORY_VALUES)) for name in _HISTORY_KEYS[:4]),
+        )
+        rng = random.Random(5)
+        hc = [
+            CategorizedItem(
+                item=Item(id=f"h{index}", title=f"Title {index}"),
+                pairs=frozenset(
+                    FeaturePair(rng.choice(_HISTORY_KEYS), rng.choice(_HISTORY_VALUES))
+                    for _ in range(6)
+                ),
+            )
+            for index in range(10)
+        ]
+        barrier = threading.Barrier(8)
+        mismatches = []
+
+        def render(worker):
+            barrier.wait(timeout=10)
+            for round_ in range(50):
+                truncated = truncate_features(taxonomy, (worker + round_) % 4 + 1)
+                cfg = RecommendConfig(history_with_titles=round_ % 2 == 0)
+                if history_to_prompt_text(hc, cfg, truncated) != grouped_per_request(hc, cfg, truncated):
+                    mismatches.append((worker, round_))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=render, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        # One memo per item, holding every feature list rendered.
+        for categorized in hc:
+            assert len(vars(categorized)["_feature_texts"]) == 4
+
 
 class TestParseFeatureOutput:
     def test_plain_lines(self, small_taxonomy):

@@ -124,6 +124,12 @@ class TestRenderRoundTrip:
             "theme: power, love, survival",
         ]
 
+    def test_rendered_once_per_taxonomy(self, small_taxonomy):
+        rendered = taxonomy_to_prompt_text(small_taxonomy)
+        assert taxonomy_to_prompt_text(small_taxonomy) is rendered
+        truncated = truncate_features(small_taxonomy, 1)
+        assert taxonomy_to_prompt_text(truncated) == rendered.splitlines()[0]
+
     def test_round_trip_small(self, small_taxonomy):
         assert parse_taxonomy(taxonomy_to_prompt_text(small_taxonomy), "book") == small_taxonomy
 
