@@ -15,6 +15,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -311,25 +312,20 @@ def _cache_path(cache_dir: Path, domain_label: str) -> Path:
     return Path(cache_dir) / domain_label / "items.jsonl"
 
 
-# One pool's feature pairs, each held once: (key, value) -> its FeaturePair.
-_PairTable = dict[tuple[str, str], FeaturePair]
+class _PairTable(dict):
+    """One pool's feature pairs, each held once: (key, value) -> its FeaturePair.
 
-
-def _shared_pairs(
-    table: _PairTable, key_values: Iterable[tuple[str, str]]
-) -> frozenset[FeaturePair]:
-    """The pairs named by ``key_values``, taken from ``table``.
-
-    A pair not yet in the table is built, and so validated, once and added;
-    an invalid one raises as ``FeaturePair`` does.
+    A pair not yet in the table is built, and so validated, on its first
+    lookup; an invalid one raises as ``FeaturePair`` does.
     """
-    shared = []
-    for key_value in key_values:
-        pair = table.get(key_value)
-        if pair is None:
-            pair = table[key_value] = FeaturePair(*key_value)
-        shared.append(pair)
-    return frozenset(shared)
+
+    def __missing__(self, key_value: tuple[str, str]) -> FeaturePair:
+        pair = self[key_value] = FeaturePair(*key_value)
+        return pair
+
+
+_decode_json = json.JSONDecoder().raw_decode
+_pair_key_value = itemgetter("key", "value")
 
 
 def _load_cached_entries(
@@ -344,16 +340,17 @@ def _load_cached_entries(
             line = line.strip()
             if not line:
                 continue
-            # A torn line (JSONDecodeError is a ValueError) or a record of
-            # the wrong shape is skipped; its item is categorized again.
+            # A torn line (JSONDecodeError is a ValueError), a line with text
+            # after its record, or a record of the wrong shape is skipped;
+            # its item is categorized again.
             try:
-                record = json.loads(line)
-                if record.get("taxonomy_fingerprint") != fingerprint:
+                record, end = _decode_json(line)
+                if end != len(line) or record.get("taxonomy_fingerprint") != fingerprint:
                     continue
                 item = by_id.get(record.get("item_id"))
                 if item is None:
                     continue
-                pairs = _shared_pairs(table, [(p["key"], p["value"]) for p in record.get("pairs", [])])
+                pairs = frozenset(map(table.__getitem__, map(_pair_key_value, record.get("pairs", []))))
             except (AttributeError, KeyError, TypeError, ValueError):
                 continue
             if pairs:
@@ -397,7 +394,7 @@ def load_categorized_pool(
     fingerprint.
     """
     fingerprint = taxonomy_fingerprint(model_name, taxonomy)
-    entries = _load_cached_entries(_cache_path(cache_dir, pool.domain_label), fingerprint, pool, {})
+    entries = _load_cached_entries(_cache_path(cache_dir, pool.domain_label), fingerprint, pool, _PairTable())
     coverage = len(entries) / len(pool.items)
     if coverage < 1.0:
         raise TaxRecError(
@@ -437,7 +434,7 @@ def categorize_pool(
     fingerprint = taxonomy_fingerprint(provider.model_name, taxonomy)
     path = _cache_path(cache_dir, pool.domain_label)
     path.parent.mkdir(parents=True, exist_ok=True)
-    table: _PairTable = {}
+    table = _PairTable()
     entries = _load_cached_entries(path, fingerprint, pool, table)
     todo = [item for item in pool.items if item.id not in entries]
     stats = stats if stats is not None else CategorizeStats()
@@ -466,7 +463,7 @@ def categorize_pool(
                     except Exception as exc:
                         stats.failures.append((item.id, str(exc)))
                     else:
-                        categorized = CategorizedItem(item=item, pairs=_shared_pairs(table, pairs))
+                        categorized = CategorizedItem(item=item, pairs=frozenset(map(table.__getitem__, pairs)))
                         entries[item.id] = categorized
                         _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
                         done += 1

@@ -13,8 +13,9 @@ import json
 import math
 import re
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, TypeVar
 
@@ -280,6 +281,28 @@ _MOCK_FEATURES: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
+def _section(lines: list[str], header: str, stop_header: str | None = None) -> list[str]:
+    """The lines after the first ``header`` line, up to the next ``stop_header`` line."""
+    try:
+        start = lines.index(header) + 1
+    except ValueError:
+        return []
+    try:
+        return lines[start : lines.index(stop_header, start)]
+    except ValueError:
+        return lines[start:]
+
+
+def _section_text(lines: list[str]) -> str:
+    return "\n".join(lines).strip()
+
+
+@lru_cache(maxsize=64)
+def _taxonomy_table(taxonomy_text: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """A prompt's taxonomy section as ``(name, values)`` entries."""
+    return tuple((name, tuple(values)) for name, values in line_entries(taxonomy_text))
+
+
 def _stable_int(*parts: object) -> int:
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -302,7 +325,10 @@ class MockProvider:
       not occur in any catalog (the unconstrained-generation failure mode).
 
     Anything else raises :class:`ContentError`. Identical prompt text maps
-    to identical response text; the instance is stateless and lock-free.
+    to identical response text; the instance is stateless. Each prompt is
+    split into lines once. The one memo is the parsed taxonomy table, kept
+    per taxonomy text in a bounded module-wide ``lru_cache``; replies are
+    byte-for-byte those of parsing every prompt afresh.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -325,70 +351,55 @@ class MockProvider:
         body = ",\n".join(f'  "{name}": {json.dumps(values)}' for name, values in features)
         return f"Here is a taxonomy for this dataset:\n\n```json\n{{\n{body}\n}}\n```"
 
-    # -- prompt dissection --------------------------------------------
-
-    @staticmethod
-    def _section(prompt: str, header: str, stop_headers: tuple[str, ...] = ()) -> str | None:
-        lines = prompt.splitlines()
-        try:
-            start = lines.index(header) + 1
-        except ValueError:
-            return None
-        collected: list[str] = []
-        for line in lines[start:]:
-            if line in stop_headers:
-                break
-            collected.append(line)
-        text = "\n".join(collected).strip()
-        return text or None
-
     # -- categorization -----------------------------------------------
 
-    def _categorization_response(self, prompt: str) -> str:
-        taxonomy_text = self._section(prompt, TAXONOMY_HEADER, (ITEM_HEADER,))
-        item_text = self._section(prompt, ITEM_HEADER)
+    def _categorization_response(self, lines: list[str]) -> str:
+        taxonomy_text = _section_text(_section(lines, TAXONOMY_HEADER, ITEM_HEADER))
+        item_text = _section_text(_section(lines, ITEM_HEADER))
         if not taxonomy_text or not item_text:
             raise ContentError("categorization prompt missing taxonomy or item section")
-        lines = []
-        for name, values in line_entries(taxonomy_text):
+        replies = []
+        for name, values in _taxonomy_table(taxonomy_text):
             choice = values[_stable_int(self.seed, item_text, name) % len(values)]
-            lines.append(f"{name}: {choice}")
-        if not lines:
+            replies.append(f"{name}: {choice}")
+        if not replies:
             raise ContentError("categorization prompt carried an empty taxonomy")
-        return "\n".join(lines)
+        return "\n".join(replies)
 
     # -- recommendation -----------------------------------------------
 
-    def _recommendation_response(self, prompt: str) -> str:
-        taxonomy_text = self._section(prompt, TAXONOMY_HEADER, (HISTORY_HEADER,))
-        history_text = self._section(prompt, HISTORY_HEADER)
-        if not taxonomy_text or not history_text:
+    def _recommendation_response(self, lines: list[str]) -> str:
+        taxonomy_text = _section_text(_section(lines, TAXONOMY_HEADER, HISTORY_HEADER))
+        history = _section(lines, HISTORY_HEADER)
+        if not taxonomy_text or not _section_text(history):
             raise ContentError("recommendation prompt missing taxonomy or history section")
-        votes: dict[str, dict[str, int]] = {}
-        for line in history_text.splitlines():
-            line = line.strip()
-            if TITLE_SEPARATOR in line:
-                line = line.split(TITLE_SEPARATOR, 1)[1]
-            for segment in line.split(";"):
-                key, _, value = segment.partition(":")
-                key, value = key.strip(), value.strip()
-                if key and value:
-                    counts = votes.setdefault(key, {})
-                    counts[value] = counts.get(value, 0) + 1
-        lines = []
-        for name, values in line_entries(taxonomy_text):
+        # A line votes with its ";" segments after the title; each distinct segment is read once.
+        segments: list[str] = []
+        for line in map(str.strip, history):
+            title, separator, features = line.partition(TITLE_SEPARATOR)
+            segments += (features if separator else title).split(";")
+        votes: defaultdict[str, dict[str, int]] = defaultdict(dict)
+        for segment, count in Counter(segments).items():
+            key, _, value = segment.partition(":")
+            key, value = key.strip(), value.strip()
+            if key and value:
+                counts = votes[key]
+                counts[value] = counts.get(value, 0) + count
+        replies = []
+        for name, values in _taxonomy_table(taxonomy_text):
             counts = votes.get(name)
             if not counts:
                 continue
             best = max(counts.values())
             tied = [value for value, count in counts.items() if count == best]
-            lines.append(f"{name}: {next((value for value in values if value in tied), min(tied))}")
-        if not lines:
+            choice = tied[0] if len(tied) == 1 else next((value for value in values if value in tied), min(tied))
+            replies.append(f"{name}: {choice}")
+        if not replies:
             raise ContentError("recommendation prompt carried an unreadable history")
-        return "\n".join(lines)
+        return "\n".join(replies)
 
-    def _direct_response(self, prompt: str) -> str:
-        history_text = self._section(prompt, HISTORY_HEADER) or ""
+    def _direct_response(self, prompt: str, lines: list[str]) -> str:
+        history_text = _section_text(_section(lines, HISTORY_HEADER))
         match = re.search(r"recommend (\d+)", prompt)
         k = int(match.group(1)) if match else 10
         digest = hashlib.sha256(f"{self.seed}|{history_text}".encode("utf-8")).hexdigest()[:8]
@@ -399,15 +410,16 @@ class MockProvider:
     def complete(self, request: LlmRequest) -> LlmResponse:
         prompt = request.prompt
         lowered = prompt.lower()
+        lines = prompt.splitlines()
         if "generate a taxonomy" in lowered:
             text = self._taxonomy_response()
         elif "please classify" in lowered:
-            text = self._categorization_response(prompt)
+            text = self._categorization_response(lines)
         elif "please recommend" in lowered:
-            if TAXONOMY_HEADER in prompt.splitlines():
-                text = self._recommendation_response(prompt)
+            if TAXONOMY_HEADER in lines:
+                text = self._recommendation_response(lines)
             else:
-                text = self._direct_response(prompt)
+                text = self._direct_response(prompt, lines)
         else:
             raise ContentError("mock provider does not recognize this prompt")
         usage = (len(prompt.split()), len(text.split()))

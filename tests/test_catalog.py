@@ -390,6 +390,22 @@ class TestCategorizePool:
         assert counting.calls == 1  # the item whose only records are malformed
         assert cpool.coverage == 1.0
 
+    def test_trailing_text_and_list_pairs_are_skipped(self, tmp_path, mock7, small_taxonomy):
+        # A complete record with text after it on its line, and a record
+        # whose pairs are lists, not {"key", "value"} objects.
+        categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
+        cache_path = tmp_path / "book" / "items.jsonl"
+        lines = cache_path.read_text().splitlines()
+        trailing, list_pairs = lines.pop(), json.loads(lines.pop())
+        list_pairs["pairs"] = [[p["key"], p["value"]] for p in list_pairs["pairs"]]
+        lines += [trailing + ' {"extra": 1}', json.dumps(list_pairs, sort_keys=True)]
+        cache_path.write_text("\n".join(lines) + "\n")
+
+        counting = CountingProvider(mock7)
+        cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
+        assert counting.calls == 2  # both items are categorized again
+        assert cpool.coverage == 1.0
+
     def test_non_string_pair_records_are_skipped(self, tmp_path, mock7, small_taxonomy):
         categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
         cache_path = tmp_path / "book" / "items.jsonl"

@@ -414,6 +414,128 @@ class TestMockProviderRecommendation:
         assert counting.calls == 2
 
 
+_GOLDEN_TAXONOMY = "genre: fiction, mystery, fantasy\ntheme: power, love\ntone: dark, light"
+
+
+def _golden_recommendation(*history: str) -> str:
+    return render_recommendation_prompt("book", _GOLDEN_TAXONOMY, "\n".join(history), 5)
+
+
+class TestMockProviderGolden:
+    """Exact replies (text and usage) and error messages of the mock,
+    pinned so that a faster reply path cannot change a byte."""
+
+    @pytest.mark.parametrize(
+        "prompt, text, usage",
+        [
+            pytest.param(
+                # Only the first separator ends the title: "Peace — genre" is
+                # not a feature, so the fantasy votes are lost.
+                _golden_recommendation(
+                    "War — Peace — genre: fantasy; theme: love",
+                    "Anna — Karenina — genre: fantasy",
+                    "Emma — genre: mystery; theme: love",
+                    "Dune — genre: mystery; theme: power",
+                ),
+                "genre: mystery\ntheme: love",
+                (70, 4),
+                id="title-with-two-separators",
+            ),
+            pytest.param(
+                _golden_recommendation(
+                    "", "   ", "Emma — genre: fiction; tone: dark", "\t",
+                    "1984 —  genre : fiction ;tone:light ", "", "Dune — tone: light",
+                ),
+                "genre: fiction\ntone: light",
+                (60, 4),
+                id="blank-and-whitespace-lines",
+            ),
+            pytest.param(
+                # Stripped, these lines start with "— ", which is no separator.
+                _golden_recommendation(
+                    " — genre: mystery; theme: power",
+                    "  — genre: mystery",
+                    "\t— genre: mystery",
+                    "Emma — genre: fiction",
+                ),
+                "genre: fiction\ntheme: power",
+                (59, 4),
+                id="line-starting-with-separator",
+            ),
+            pytest.param(
+                _golden_recommendation(
+                    "Emma — genre: fiction, mystery; theme: love, power",
+                    "Dune — genre: fiction, mystery; theme: love",
+                    "1984 — genre: fantasy; theme: power, love",
+                ),
+                "genre: fiction, mystery\ntheme: love",
+                (66, 5),
+                id="multi-valued-segments",
+            ),
+            pytest.param(
+                # Ties go to taxonomy value order, or to the least value
+                # when no tied value is in the taxonomy.
+                _golden_recommendation(
+                    "A — genre: fantasy; theme: love; tone: noir",
+                    "B — genre: mystery; theme: power; tone: gothic",
+                    "C — genre: mystery; theme: love; tone: gothic",
+                    "D — genre: fantasy; theme: power; tone: noir",
+                ),
+                "genre: mystery\ntheme: power\ntone: gothic",
+                (76, 6),
+                id="plurality-ties",
+            ),
+            pytest.param(
+                render_categorization_prompt("book", _GOLDEN_TAXONOMY, "Emma — Jane Austen"),
+                "genre: mystery\ntheme: power\ntone: dark",
+                (34, 6),
+                id="categorization",
+            ),
+            pytest.param(
+                render_direct_recommendation_prompt("book", "Emma\n1984", 3),
+                "Uncharted Shelf Vol. 1 [2f15f7c2]\n"
+                "Uncharted Shelf Vol. 2 [2f15f7c2]\n"
+                "Uncharted Shelf Vol. 3 [2f15f7c2]",
+                (23, 15),
+                id="direct",
+            ),
+        ],
+    )
+    def test_reply(self, mock7, prompt, text, usage):
+        response = mock7.complete(LlmRequest(prompt=prompt))
+        assert (response.text, response.usage) == (text, usage)
+
+    @pytest.mark.parametrize(
+        "prompt, message",
+        [
+            pytest.param(
+                _golden_recommendation("Emma — no features", "; :", "plot: heist"),
+                "recommendation prompt carried an unreadable history",
+                id="no-readable-segment",
+            ),
+            pytest.param(
+                _golden_recommendation(" ", "\t"),
+                "recommendation prompt missing taxonomy or history section",
+                id="blank-history",
+            ),
+            pytest.param(
+                _golden_recommendation("Emma — genre: fiction").replace("History:", "Past:"),
+                "recommendation prompt missing taxonomy or history section",
+                id="no-history-header",
+            ),
+            pytest.param(
+                render_categorization_prompt("book", _GOLDEN_TAXONOMY, "x").replace("Item:\nx", "Item:\n"),
+                "categorization prompt missing taxonomy or item section",
+                id="empty-item",
+            ),
+        ],
+    )
+    def test_content_error(self, mock7, prompt, message):
+        with pytest.raises(ContentError) as raised:
+            mock7.complete(LlmRequest(prompt=prompt))
+        assert str(raised.value) == message
+
+
 class TestScriptedProvider:
     def test_replays_in_order_then_repeats_last(self):
         provider = ScriptedProvider(["one", "two"])
