@@ -11,8 +11,7 @@ import json
 import os
 import threading
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping
 
 from . import gateway
+from ._fanout import fan_out
 from ._textparse import reply_entries
 from .core import CategorizedItem, FeaturePair, Item, Taxonomy, normalize_text
 from .errors import ParseError, TaxRecError
@@ -427,9 +427,13 @@ def categorize_pool(
     Unparseable output is re-asked once; a second failure fails the item.
     Each completed item is appended to the cache as soon as every item
     before it in the pool is done, so an interrupted run resumes where it
-    left off and two cold runs write the same bytes. Per-item failures are
-    tolerated up to 2% of the pool, then the run fails (successes stay
-    cached).
+    left off and two cold runs write the same bytes. ``max_workers``
+    threads categorize items at most a fixed window (the larger of 64 and
+    ``2 * max_workers``) ahead of the last one written; when the pass stops
+    early (a ``progress`` callback that raises, say) no further item is
+    sent to the provider. Per-item failures (an ``Exception``) are tolerated up
+    to 2% of the pool, then the run fails (successes stay cached); any
+    other exception stops the pass and is re-raised.
     """
     fingerprint = taxonomy_fingerprint(provider.model_name, taxonomy)
     path = _cache_path(cache_dir, pool.domain_label)
@@ -444,31 +448,33 @@ def categorize_pool(
     if progress is not None:
         progress(done, total, 0)
 
+    def categorize(item: Item) -> tuple[frozenset[FeaturePair], str] | Exception:
+        # An Exception fails only its item; anything else stops the pass.
+        try:
+            return _categorize_with_raw(provider, item, taxonomy, pool.domain_label, stats)
+        except Exception as exc:
+            return exc
+
     if todo:
         _start_fresh_line(path)
-        with path.open("a", encoding="utf-8") as handle:
-            with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                def worker(item: Item) -> tuple[frozenset[FeaturePair], str]:
-                    return _categorize_with_raw(provider, item, taxonomy, pool.domain_label, stats)
-
-                pending = deque((item, executor.submit(worker, item)) for item in todo)
-                # Cache writes and the pair table are touched only on this
-                # thread, in pool order: one writer, many categorization
-                # workers, no lock, and the same cache bytes whatever order
-                # the workers finish in.
-                while pending:
-                    item, future = pending.popleft()
-                    try:
-                        pairs, raw_text = future.result()
-                    except Exception as exc:
-                        stats.failures.append((item.id, str(exc)))
-                    else:
-                        categorized = CategorizedItem(item=item, pairs=frozenset(map(table.__getitem__, pairs)))
-                        entries[item.id] = categorized
-                        _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
-                        done += 1
-                    if progress is not None:
-                        progress(done, total, len(stats.failures))
+        with path.open("a", encoding="utf-8") as handle, closing(
+            fan_out(categorize, todo, max_workers)
+        ) as outcomes:
+            # Cache writes and the pair table are touched only on this
+            # thread, in pool order: one writer, many categorization
+            # workers, no lock, and the same cache bytes whatever order the
+            # workers finish in.
+            for item, outcome in zip(todo, outcomes):
+                if isinstance(outcome, Exception):
+                    stats.failures.append((item.id, str(outcome)))
+                else:
+                    pairs, raw_text = outcome
+                    categorized = CategorizedItem(item=item, pairs=frozenset(map(table.__getitem__, pairs)))
+                    entries[item.id] = categorized
+                    _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
+                    done += 1
+                if progress is not None:
+                    progress(done, total, len(stats.failures))
 
     failure_fraction = len(stats.failures) / total
     if failure_fraction > _ITEM_FAILURE_LIMIT:

@@ -12,11 +12,11 @@ import math
 import random
 import warnings
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from ._fanout import fan_out
 from .catalog import Interaction, ItemPool
 from .core import InteractionSequence, Item, RankedList
 from .errors import TaxRecError
@@ -232,10 +232,13 @@ def run_experiment(
 ) -> MetricReport:
     """Evaluate every method on every sequence, averaged over repeats.
 
-    Instances are evaluated concurrently within a repeat; aggregation folds
-    per-instance records in instance order, so results are independent of
-    completion order. A method failing on an instance scores as a miss;
-    the run fails if any method fails on more than 5% of its evaluations.
+    Every (repeat, instance) task goes through one fan-out of
+    ``max_workers`` threads across all repeats; aggregation folds
+    per-instance records in (repeat, instance) order, so results are
+    independent of completion order. A method failing on an instance
+    scores as a miss; the run fails if any method fails on more than 5% of
+    its evaluations. Anything a method raises that is not an ``Exception``
+    ends the run and is re-raised.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -246,36 +249,39 @@ def run_experiment(
     records: list[dict] = []
     failures: dict[str, int] = {name: 0 for name in methods}
 
-    for repeat in range(repeats):
-        def evaluate_instance(index_sequence: tuple[int, InteractionSequence]) -> list[dict]:
-            index, sequence = index_sequence
-            rows = []
-            for name, method in methods.items():
-                row = {
-                    "repeat": repeat,
-                    "instance": index,
-                    "user_id": sequence.user_id,
-                    "target_id": sequence.target.id,
-                    "method": name,
-                    "rank": None,
-                    "failed": False,
-                }
-                try:
-                    ranked = method(sequence)
-                    if ranked.k < max_k:
-                        raise TaxRecError(
-                            f"method {name!r} ranked depth {ranked.k} < max evaluated k {max_k}"
-                        )
-                    row["rank"] = ranked.rank_of(sequence.target.id)
-                except Exception as exc:
-                    row["failed"] = True
-                    row["error"] = str(exc)
-                rows.append(row)
-            return rows
+    def evaluate_instance(task: tuple[int, int, InteractionSequence]) -> list[dict]:
+        repeat, index, sequence = task
+        rows = []
+        for name, method in methods.items():
+            row = {
+                "repeat": repeat,
+                "instance": index,
+                "user_id": sequence.user_id,
+                "target_id": sequence.target.id,
+                "method": name,
+                "rank": None,
+                "failed": False,
+            }
+            try:
+                ranked = method(sequence)
+                if ranked.k < max_k:
+                    raise TaxRecError(
+                        f"method {name!r} ranked depth {ranked.k} < max evaluated k {max_k}"
+                    )
+                row["rank"] = ranked.rank_of(sequence.target.id)
+            except Exception as exc:
+                row["failed"] = True
+                row["error"] = str(exc)
+            rows.append(row)
+        return rows
 
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            for batch in executor.map(evaluate_instance, enumerate(sequences)):
-                records.extend(batch)
+    tasks = [
+        (repeat, index, sequence)
+        for repeat in range(repeats)
+        for index, sequence in enumerate(sequences)
+    ]
+    for batch in fan_out(evaluate_instance, tasks, max_workers):
+        records.extend(batch)
 
     records.sort(key=lambda r: (r["repeat"], r["instance"], r["method"]))
 

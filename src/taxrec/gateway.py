@@ -409,13 +409,17 @@ class MockProvider:
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         prompt = request.prompt
-        lowered = prompt.lower()
+        # Lowering the UTF-8 bytes dispatches as prompt.lower() would: only
+        # U+0130 and U+212A lowercase to ASCII, and neither can complete a
+        # phrase below. It skips a wide-string copy of every prompt; a lone
+        # surrogate encodes to non-ASCII bytes, as it does not lower.
+        lowered = prompt.encode("utf-8", "surrogatepass").lower()
         lines = prompt.splitlines()
-        if "generate a taxonomy" in lowered:
+        if b"generate a taxonomy" in lowered:
             text = self._taxonomy_response()
-        elif "please classify" in lowered:
+        elif b"please classify" in lowered:
             text = self._categorization_response(lines)
-        elif "please recommend" in lowered:
+        elif b"please recommend" in lowered:
             if TAXONOMY_HEADER in lines:
                 text = self._recommendation_response(lines)
             else:

@@ -120,6 +120,27 @@ class FailAfterProvider:
         return self.inner.complete(request)
 
 
+def call_with_timeout(fn, timeout_s: float = 60.0):
+    """Return or raise what ``fn()`` does, run on a daemon thread; fail the
+    test if it is still running after ``timeout_s``, so a hang cannot stall
+    the suite."""
+    outcome: dict = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"call still running after {timeout_s} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
+
+
 @pytest.fixture
 def mock7() -> MockProvider:
     return MockProvider(7)

@@ -22,12 +22,19 @@ from taxrec.catalog import (
     load_movielens,
 )
 from taxrec import core
+from taxrec._fanout import window
 from taxrec.core import CategorizedItem, FeaturePair, Item
 from taxrec.errors import TaxRecError
 from taxrec.gateway import LINE_REMINDER
 from taxrec.taxonomy import truncate_features
 
-from conftest import CountingProvider, FailAfterProvider, LatencyProvider, ScriptedProvider
+from conftest import (
+    CountingProvider,
+    FailAfterProvider,
+    LatencyProvider,
+    ScriptedProvider,
+    call_with_timeout,
+)
 
 
 def write_movielens(tmp_path, item_lines, data_lines):
@@ -331,6 +338,52 @@ class TestCategorizePool:
         assert cpool.coverage == 1.0
         assert items_per_s >= 0.85 * workers / latency_s
         assert provider.peak_in_flight <= workers
+
+    def test_a_stopped_pass_stops_calling_the_provider(self, tmp_path, mock7, small_taxonomy):
+        # The caller stops at the fifth item written; at most a window of
+        # items past it has been sent, not the whole pool.
+        pool, provider = small_pool(2000), CountingProvider(mock7)
+
+        class Stop(Exception):
+            pass
+
+        def progress(done: int, total: int, failed: int) -> None:
+            if done == 5:
+                raise Stop
+
+        before = threading.active_count()
+        with pytest.raises(Stop):
+            call_with_timeout(
+                lambda: categorize_pool(
+                    provider, pool, small_taxonomy, tmp_path, max_workers=2, progress=progress
+                )
+            )
+        assert provider.calls <= 5 + window(2)
+        assert len((tmp_path / "book" / "items.jsonl").read_text().splitlines()) == 5
+        assert threading.active_count() == before
+
+    def test_a_base_exception_from_the_provider_stops_the_pass(self, tmp_path, mock7, small_taxonomy):
+        # Not an Exception, so not an item failure: it is raised, in pool
+        # order, once the workers are joined.
+        class Halt(BaseException):
+            pass
+
+        class HaltingProvider:
+            model_name = mock7.model_name
+
+            def complete(self, request):
+                if "Work 13" in request.prompt:
+                    raise Halt
+                return mock7.complete(request)
+
+        before = threading.active_count()
+        with pytest.raises(Halt):
+            call_with_timeout(
+                lambda: categorize_pool(HaltingProvider(), small_pool(100), small_taxonomy, tmp_path, max_workers=2)
+            )
+        lines = (tmp_path / "book" / "items.jsonl").read_text().splitlines()
+        assert [json.loads(line)["item_id"] for line in lines] == [f"i{index:03d}" for index in range(13)]
+        assert threading.active_count() == before
 
     def test_failures_under_threshold_tolerated(self, tmp_path, small_taxonomy):
         pool = small_pool(100)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +30,7 @@ from taxrec.recommender import RecommendConfig, recommend
 from taxrec.synthetic import make_synthetic_dataset
 from taxrec.taxonomy import generate_taxonomy
 
-from conftest import CountingProvider, LatencyProvider
+from conftest import CountingProvider, LatencyProvider, call_with_timeout
 
 
 def _items(n: int) -> list[Item]:
@@ -305,6 +306,24 @@ class TestRunExperiment:
 
         with pytest.raises(TaxRecError):
             run_experiment({"broken": broken}, sequences, repeats=1, max_workers=1)
+
+    def test_a_base_exception_from_a_method_is_raised(self):
+        # A method's Exception scores a miss; anything else ends the run,
+        # raised once the workers are joined, never a hang.
+        class Halt(BaseException):
+            pass
+
+        def halting(sequence: InteractionSequence) -> RankedList:
+            if sequence.user_id == "u3":
+                raise Halt
+            return _constant_method(1)(sequence)
+
+        before = threading.active_count()
+        with pytest.raises(Halt):
+            call_with_timeout(
+                lambda: run_experiment({"halting": halting}, _sequences(200, _items(5)), repeats=3, max_workers=2)
+            )
+        assert threading.active_count() == before
 
     def test_identical_repeats_warn(self):
         items = _items(5)

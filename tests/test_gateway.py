@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 import requests
+from hypothesis import example, given, settings, strategies as st
 
 from taxrec.errors import AuthError, ContentError, NetworkError
 from taxrec.gateway import (
@@ -336,6 +337,59 @@ class TestMockProviderCategorization:
     def test_unrecognized_prompt_is_content_error(self, mock7):
         with pytest.raises(ContentError):
             mock7.complete(LlmRequest(prompt="What is the weather like?"))
+
+
+_DISPATCH_PHRASES = (
+    ("generate a taxonomy", "taxonomy"),
+    ("please classify", "categorization"),
+    ("please recommend", "recommendation"),
+)
+_DISPATCH_ERRORS = {
+    "categorization prompt missing taxonomy or item section": "categorization",
+    "mock provider does not recognize this prompt": None,
+}
+
+
+def _dispatched_as(provider: MockProvider, prompt: str) -> str | None:
+    # No prompt drawn below has a section header line, so each branch is
+    # told apart by its reply or by its error text.
+    try:
+        text = provider.complete(LlmRequest(prompt=prompt)).text
+    except ContentError as exc:
+        return _DISPATCH_ERRORS[str(exc)]
+    return "taxonomy" if text.startswith("Here is a taxonomy") else "recommendation"
+
+
+# Slices of the dispatch phrases in either case, among the two code points
+# that lowercase to ASCII (U+0130, U+212A), other case-changing letters and
+# lone surrogates.
+_dispatch_prompts = st.lists(
+    st.one_of(
+        st.sampled_from([phrase for phrase, _ in _DISPATCH_PHRASES]).flatmap(
+            lambda phrase: st.tuples(
+                st.integers(0, len(phrase)), st.integers(0, len(phrase)), st.booleans()
+            ).map(lambda cut: (phrase.upper() if cut[2] else phrase)[cut[0] : cut[1]])
+        ),
+        st.text(alphabet="\u0130\u212a\u0131\u017fiIkKsSyY \u00df\u03a3\ud800\udfff\n", max_size=6),
+    ),
+    min_size=1,
+    max_size=8,
+).map("".join).filter(bool)
+
+
+class TestMockDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(prompt=_dispatch_prompts)
+    @example(prompt="GENERATE A TAXONOMY")
+    @example(prompt="please cla\u00dfify")
+    @example(prompt="PLEASE CLASS\u0130FY")
+    @example(prompt="please classi\u0130fy")
+    @example(prompt="please recommend \u212aelvin")
+    @example(prompt="\u212a\u0130 generate a taxonomy")
+    def test_dispatch_matches_phrase_in_lowered_prompt(self, prompt):
+        lowered = prompt.lower()
+        expected = next((branch for phrase, branch in _DISPATCH_PHRASES if phrase in lowered), None)
+        assert _dispatched_as(MockProvider(7), prompt) == expected
 
 
 class TestMockProviderRecommendation:
