@@ -261,7 +261,10 @@ def filter_pairs(
 ) -> frozenset[FeaturePair]:
     """Normalized feature pairs of the reply ``text`` whose key is in ``allowed``.
 
-    Pairs with another key are dropped and counted in ``stats``.
+    Pairs with another key are dropped and counted in ``stats``. The
+    categorization and recommendation parsers call it only for a reply that
+    :func:`canonical_pairs` cannot answer: one with a line that is not a
+    canonical ``name: value`` line of their taxonomy.
     """
     kept: set[FeaturePair] = set()
     for raw_key, raw_values in reply_entries(text):
@@ -279,6 +282,57 @@ def filter_pairs(
     return frozenset(kept)
 
 
+def _reply_table(taxonomy: Taxonomy) -> dict[str, frozenset[FeaturePair]]:
+    """Each canonical ``name: value`` line of ``taxonomy`` -> the pairs
+    :func:`filter_pairs` reads from that line alone.
+
+    A line holding ``{``, reading as nothing, or losing a pair to the
+    feature-name filter is left out; the empty line reads as no pairs.
+    Built on first use and kept on the taxonomy, as its prompt text is.
+    """
+    table = taxonomy.__dict__.get("_reply_table")
+    if table is None:
+        allowed = set(taxonomy.feature_names)
+        table = {"": frozenset()}
+        for feature in taxonomy.features:
+            for value in feature.values:
+                line = f"{feature.name}: {value}"
+                if "{" in line:
+                    continue
+                line_stats = CategorizeStats()
+                pairs = filter_pairs(line, allowed, line_stats)
+                if pairs and not line_stats.dropped_pairs:
+                    table[line] = pairs
+        # setdefault, atomic on a dict, gives threads racing here one table.
+        table = taxonomy.__dict__.setdefault("_reply_table", table)
+    return table
+
+
+def canonical_pairs(text: str, taxonomy: Taxonomy) -> frozenset[FeaturePair] | None:
+    """The pairs of a reply made only of ``taxonomy``'s canonical lines, or None.
+
+    Looks each line up in the taxonomy's reply table and stops at the first
+    miss. A reply it answers holds no ``{`` and only lines whose keys are
+    taxonomy features, and the line grammar reads each line on its own, so
+    the answer is what :func:`filter_pairs` gives for any ``allowed`` set
+    holding the feature names, with nothing dropped.
+    """
+    table = _reply_table(taxonomy)
+    # A reply outside the table nearly always misses on its first line, so
+    # that line is looked up before the whole reply is split. The check can
+    # only send a reply to the general parser: a first line ended by a
+    # break other than "\n" or "\r\n" costs time, not correctness.
+    if text.partition("\n")[0].rstrip("\r") not in table:
+        return None
+    found = []
+    for line in text.splitlines():
+        pairs = table.get(line)
+        if pairs is None:
+            return None
+        found.append(pairs)
+    return frozenset().union(*found)
+
+
 def _categorize_with_raw(
     provider: gateway.Provider,
     item: Item,
@@ -291,13 +345,14 @@ def _categorize_with_raw(
     prompt = gateway.render_categorization_prompt(
         domain, taxonomy_to_prompt_text(taxonomy), item_prompt_text(item)
     )
-    allowed = set(taxonomy.feature_names)
     attempts = 0
 
     def parse(text: str) -> tuple[frozenset[FeaturePair], str]:
         nonlocal attempts
         attempts += 1
-        pairs = filter_pairs(text, allowed, stats)
+        pairs = canonical_pairs(text, taxonomy)
+        if pairs is None:
+            pairs = filter_pairs(text, set(taxonomy.feature_names), stats)
         if not pairs:
             if attempts == 1:
                 stats.count_reask()

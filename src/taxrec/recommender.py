@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gateway
 from ._textparse import iter_content_lines
-from .catalog import CategorizedPool, ItemPool, filter_pairs
+from .catalog import CategorizedPool, ItemPool, canonical_pairs, filter_pairs
 from .core import (
     CategorizedItem,
     FeaturePair,
@@ -114,21 +114,32 @@ def parse_feature_output(s: str, t: Taxonomy, cfg: RecommendConfig) -> FeatureSe
     are kept when the key is a taxonomy feature. When recommendations carry
     titles, colon-free lines become pairs under the reserved ``title`` key.
     The raw text is preserved verbatim.
+
+    A reply made only of the taxonomy's canonical ``name: value`` lines
+    (the format the prompt asks for) is answered by the taxonomy's reply
+    table (:func:`catalog.canonical_pairs`); such a reply has no title
+    lines. Any other reply goes through :func:`catalog.filter_pairs`, with
+    the same result.
     """
-    allowed = set(t.feature_names)
-    if cfg.recommend_with_titles:
-        allowed.add(TITLE_KEY)
-    pairs = set(filter_pairs(s, allowed))
-    if cfg.recommend_with_titles:
-        for line in iter_content_lines(s):
-            if ":" in line:
-                continue
-            title = normalize_text(line)
-            if title:
-                pairs.add(FeaturePair(TITLE_KEY, title))
+    pairs = canonical_pairs(s, t)
+    if pairs is None:
+        allowed = set(t.feature_names)
+        if cfg.recommend_with_titles:
+            allowed.add(TITLE_KEY)
+        pairs = filter_pairs(s, allowed)
+        if cfg.recommend_with_titles:
+            titles = set()
+            for line in iter_content_lines(s):
+                if ":" in line:
+                    continue
+                title = normalize_text(line)
+                if title:
+                    titles.add(FeaturePair(TITLE_KEY, title))
+            if titles:
+                pairs = pairs | titles
     if not pairs:
         raise ParseError("no feature pairs parsed from recommendation output", raw_text=s)
-    return FeatureSet(pairs=frozenset(pairs), raw_text=s)
+    return FeatureSet(pairs=pairs, raw_text=s)
 
 
 @dataclass(frozen=True)

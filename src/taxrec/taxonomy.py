@@ -62,12 +62,24 @@ def parse_taxonomy(text: str, domain_label: str = "") -> Taxonomy:
 
 
 def truncate_features(t: Taxonomy, n: int) -> Taxonomy:
-    """Keep the first ``min(n, |features|)`` features in generation order."""
+    """Keep the first ``min(n, |features|)`` features in generation order.
+
+    The truncation to each ``n`` is built once and kept on ``t``, so every
+    request truncating to ``n`` shares one taxonomy, with one prompt text
+    and one reply table (see :func:`catalog.canonical_pairs`).
+    """
     if n < 1:
         raise ValueError("feature count must be >= 1")
     if n >= len(t.features):
         return t
-    return Taxonomy(domain_label=t.domain_label, features=t.features[:n])
+    # setdefault, atomic on a dict, gives threads truncating at once one taxonomy.
+    truncations = t.__dict__.setdefault("_truncations", {})
+    truncated = truncations.get(n)
+    if truncated is None:
+        truncated = truncations.setdefault(
+            n, Taxonomy(domain_label=t.domain_label, features=t.features[:n])
+        )
+    return truncated
 
 
 def taxonomy_to_prompt_text(t: Taxonomy) -> str:

@@ -164,6 +164,14 @@ class TestTruncateFeatures:
         assert len(truncated.features) == min(n, len(taxonomy.features))
 
 
+def test_one_truncation_per_taxonomy_and_count():
+    features = tuple(Feature(f"f{i}", ("v",)) for i in range(10))
+    taxonomy = Taxonomy(domain_label="book", features=features)
+    assert truncate_features(taxonomy, 5) is truncate_features(taxonomy, 5)
+    assert truncate_features(taxonomy, 4) is not truncate_features(taxonomy, 5)
+    assert truncate_features(taxonomy, 5) == Taxonomy(domain_label="book", features=features[:5])
+
+
 class TestGenerateAndPersist:
     def test_generate_with_mock(self, tmp_path, mock7):
         doc = generate_taxonomy(mock7, "book", tmp_path)
