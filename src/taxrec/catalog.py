@@ -381,19 +381,95 @@ class _PairTable(dict):
 
 _decode_json = json.JSONDecoder().raw_decode
 _pair_key_value = itemgetter("key", "value")
+_scan_json_string = json.decoder.scanstring
+
+# The fixed text around the fields of a record line as the writer lays it
+# out (``json.dumps(record, sort_keys=True)``).
+_RECORD_HEAD = '{"item_id": "'
+_PAIRS_HEAD = '", "pairs": [{'
+_PAIR_SEPARATOR = "}, {"
+_RAW_TEXT_HEAD = '}], "raw_text": "'
+
+
+def _record_pair_texts(taxonomy: Taxonomy, table: _PairTable) -> dict[str, FeaturePair]:
+    """Each ``taxonomy`` pair's text inside a written record's pairs list -> its pair in ``table``.
+
+    The text is the writer's own encoding of the pair object, less its braces.
+    """
+    texts: dict[str, FeaturePair] = {}
+    for feature in taxonomy.features:
+        for value in feature.values:
+            try:
+                pair = table[feature.name, value]
+            except ValueError:
+                continue  # no record can hold such a pair
+            texts[json.dumps({"key": feature.name, "value": value}, sort_keys=True)[1:-1]] = pair
+    return texts
+
+
+def _tabled_entry(
+    line: str, tail: str, by_id: Mapping[str, Item], pair_texts: Mapping[str, FeaturePair]
+) -> CategorizedItem | None:
+    """The entry of a record line in the writer's layout, read through ``pair_texts``; else None.
+
+    The line must be ``{"item_id": "``, an id holding no ``"``, ``\\`` or
+    non-printable character that names a pool item, ``", "pairs": [{``,
+    parts joined by ``}, {`` that are each in ``pair_texts``,
+    ``}], "raw_text": "``, one JSON string that ``json.decoder.scanstring``
+    reads to exactly where ``tail`` starts, and ``tail``. Such a line is, by
+    construction, the JSON text of the record naming that item, those pairs
+    and the tail's fingerprint, so this reading is the one decoding gives.
+    """
+    if not (line.startswith(_RECORD_HEAD) and line.endswith(tail)):
+        return None
+    id_end = line.find(_PAIRS_HEAD, len(_RECORD_HEAD))
+    item_id = line[len(_RECORD_HEAD):id_end]
+    item = by_id.get(item_id)
+    if id_end < 0 or item is None or '"' in item_id or "\\" in item_id or not item_id.isprintable():
+        return None
+    pairs_start = id_end + len(_PAIRS_HEAD)
+    pairs_end = line.find(_RAW_TEXT_HEAD, pairs_start)
+    if pairs_end < 0:
+        return None
+    try:
+        pairs = frozenset(map(pair_texts.__getitem__, line[pairs_start:pairs_end].split(_PAIR_SEPARATOR)))
+        raw_end = _scan_json_string(line, pairs_end + len(_RAW_TEXT_HEAD))[1]
+    except (KeyError, ValueError):
+        return None
+    if raw_end != len(line) - len(tail):
+        return None
+    return CategorizedItem(item=item, pairs=pairs)
 
 
 def _load_cached_entries(
-    path: Path, fingerprint: str, pool: ItemPool, table: _PairTable
+    path: Path, fingerprint: str, pool: ItemPool, taxonomy: Taxonomy, table: _PairTable
 ) -> dict[str, CategorizedItem]:
+    """The pool's cached categorizations under ``fingerprint``, by item id.
+
+    Lines are read in file order, and a later record for an item overrides
+    an earlier one. A line the writer wrote for a pool item, over values in
+    ``taxonomy``'s lists, is read through a table built once per load (each
+    taxonomy pair's text inside a pairs list -> its pair in ``table``; see
+    :func:`_tabled_entry`), with no JSON object built per pair. Every other
+    line is decoded as JSON: a torn line, a line with text after its record,
+    or a record under another fingerprint or of the wrong shape is skipped,
+    and its item is categorized again; values outside the taxonomy's lists
+    are kept. Either way, equal pairs are one object from ``table``.
+    """
     entries: dict[str, CategorizedItem] = {}
     if not path.exists():
         return entries
     by_id = pool.by_id
+    pair_texts = _record_pair_texts(taxonomy, table)
+    tail = f', "taxonomy_fingerprint": {json.dumps(fingerprint)}}}'
     with path.open(encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
+                continue
+            entry = _tabled_entry(line, tail, by_id, pair_texts)
+            if entry is not None:
+                entries[entry.item.id] = entry
                 continue
             # A torn line (JSONDecodeError is a ValueError), a line with text
             # after its record, or a record of the wrong shape is skipped;
@@ -449,7 +525,9 @@ def load_categorized_pool(
     fingerprint.
     """
     fingerprint = taxonomy_fingerprint(model_name, taxonomy)
-    entries = _load_cached_entries(_cache_path(cache_dir, pool.domain_label), fingerprint, pool, _PairTable())
+    entries = _load_cached_entries(
+        _cache_path(cache_dir, pool.domain_label), fingerprint, pool, taxonomy, _PairTable()
+    )
     coverage = len(entries) / len(pool.items)
     if coverage < 1.0:
         raise TaxRecError(
@@ -494,7 +572,7 @@ def categorize_pool(
     path = _cache_path(cache_dir, pool.domain_label)
     path.parent.mkdir(parents=True, exist_ok=True)
     table = _PairTable()
-    entries = _load_cached_entries(path, fingerprint, pool, table)
+    entries = _load_cached_entries(path, fingerprint, pool, taxonomy, table)
     todo = [item for item in pool.items if item.id not in entries]
     stats = stats if stats is not None else CategorizeStats()
 

@@ -21,7 +21,7 @@ from taxrec.catalog import (
     load_categorized_pool,
     load_movielens,
 )
-from taxrec import core
+from taxrec import catalog, core
 from taxrec._fanout import window
 from taxrec.core import CategorizedItem, FeaturePair, Item
 from taxrec.errors import TaxRecError
@@ -472,6 +472,73 @@ class TestCategorizePool:
         cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
         assert counting.calls == 1  # the item whose only records are malformed
         assert cpool.coverage == 1.0
+
+    def test_malformed_writer_layout_records_are_skipped(self, tmp_path, mock7, small_taxonomy):
+        # As test_malformed_record_lines_are_skipped, with the records laid
+        # out as the writer lays them out, so they reach the record-text table.
+        categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
+        cache_path = tmp_path / "book" / "items.jsonl"
+        lines = cache_path.read_text().splitlines()
+        good = json.loads(lines.pop())
+        no_value = dict(good, pairs=[{"key": "genre"}])
+        empty_value = dict(good, pairs=[{"key": "genre", "value": ""}])
+        string_pairs = dict(good, pairs="x")
+        records = ([1, 2], no_value, empty_value, string_pairs)
+        lines += [json.dumps(record, sort_keys=True) for record in records]
+        cache_path.write_text("\n".join(lines) + "\n")
+
+        counting = CountingProvider(mock7)
+        cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
+        assert counting.calls == 1  # the item whose only records are malformed
+        assert cpool.coverage == 1.0
+
+    def test_non_string_writer_layout_pair_records_are_skipped(self, tmp_path, mock7, small_taxonomy):
+        categorize_pool(mock7, small_pool(5), small_taxonomy, tmp_path)
+        cache_path = tmp_path / "book" / "items.jsonl"
+        lines = cache_path.read_text().splitlines()
+        good = json.loads(lines.pop())
+        bad_pairs = ({"key": 1, "value": "x"}, {"key": "genre", "value": 2.5}, {"key": "genre", "value": None})
+        lines += [json.dumps(dict(good, pairs=[pair]), sort_keys=True) for pair in bad_pairs]
+        cache_path.write_text("\n".join(lines) + "\n")
+
+        counting = CountingProvider(mock7)
+        cpool = categorize_pool(counting, small_pool(5), small_taxonomy, tmp_path)
+        assert counting.calls == 1  # the item whose only records are malformed
+        assert cpool.coverage == 1.0
+
+    def test_written_lines_load_without_json_decoding(self, tmp_path, mock7, small_taxonomy, monkeypatch):
+        pool = small_pool(30)
+        cold = categorize_pool(mock7, pool, small_taxonomy, tmp_path)
+        assert {pair for entry in cold.entries.values() for pair in entry.pairs} <= {
+            FeaturePair(f.name, value) for f in small_taxonomy.features for value in f.values
+        }
+
+        def refuse(line, *args):
+            raise AssertionError(f"decoded {line!r}")
+
+        monkeypatch.setattr(catalog, "_decode_json", refuse)
+        counting = CountingProvider(mock7)
+        warm = categorize_pool(counting, pool, small_taxonomy, tmp_path)
+        assert counting.calls == 0
+        assert warm.entries == cold.entries
+        loaded = load_categorized_pool(tmp_path, pool, small_taxonomy, mock7.model_name)
+        assert loaded.entries == cold.entries
+
+    def test_out_of_list_value_line_is_decoded(self, tmp_path, small_taxonomy, monkeypatch):
+        pool = small_pool(2)
+        provider = ScriptedProvider(["genre: fiction\ntheme: love", "genre: cyberpunk\ntheme: love"])
+        cold = categorize_pool(provider, pool, small_taxonomy, tmp_path, max_workers=1)
+        decoded = []
+
+        def decode(line, *args):
+            decoded.append(line)
+            return json.JSONDecoder().raw_decode(line, *args)
+
+        monkeypatch.setattr(catalog, "_decode_json", decode)
+        warm = load_categorized_pool(tmp_path, pool, small_taxonomy, provider.model_name)
+        assert warm.entries == cold.entries
+        assert FeaturePair("genre", "cyberpunk") in warm.entries["i001"].pairs
+        assert [json.loads(line)["item_id"] for line in decoded] == ["i001"]
 
     def test_pool_shares_one_object_per_distinct_pair(self, tmp_path, mock7, small_taxonomy):
         def shared(entries) -> bool:
