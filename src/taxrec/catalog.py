@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import gateway
 from ._fanout import fan_out
@@ -58,14 +60,87 @@ class ItemPool:
         return {item.id: item for item in self.items}
 
     @cached_property
+    def positions(self) -> Mapping[str, int]:
+        """Item id -> the item's position in ``items``."""
+        return {item.id: position for position, item in enumerate(self.items)}
+
+    @cached_property
     def titles(self) -> TitleTable:
         """Item id -> raw title, in pool order, each title prepared once for the free-text matchers."""
         return TitleTable({item.id: item.title for item in self.items})
 
 
+class PoolEntries(Mapping[str, CategorizedItem]):
+    """A categorized pool's items as columns: item id -> its ``CategorizedItem``, read-only.
+
+    The columns run in pool order: ``offsets`` (int32, one more than the
+    pool's items) cuts ``pair_ids`` (int32, ascending within each item)
+    into each item's pairs, ``pairs`` is the vocabulary (pair id ->
+    ``FeaturePair``) and ``present`` marks the items that have an entry.
+    An item's ``CategorizedItem`` is built on its first lookup and kept;
+    threads racing on one id get one object. Length, membership and
+    iteration (in pool order) read the columns alone.
+    """
+
+    def __init__(
+        self, pool: ItemPool, pairs: Sequence[FeaturePair], offsets: np.ndarray,
+        pair_ids: np.ndarray, present: np.ndarray,
+    ) -> None:
+        self.pool = pool
+        self.pairs = pairs
+        self.offsets = offsets
+        self.pair_ids = pair_ids
+        self.present = present
+        self._length = int(np.count_nonzero(present))
+        self._built: dict[str, CategorizedItem] = {}
+
+    @classmethod
+    def of(cls, pool: ItemPool, entries: Mapping[str, CategorizedItem]) -> PoolEntries:
+        """``entries`` stored as ``pool``'s columns.
+
+        Each key must name a pool item and its entry must hold that item.
+        """
+        writer = _EntryWriter(pool, ())
+        for item_id, entry in entries.items():
+            position = pool.positions.get(item_id)
+            if position is None or entry.item != pool.items[position]:
+                raise ValueError(f"entry {item_id!r} does not hold an item of the pool")
+            writer.write(position, entry.pairs)
+        return writer.finish()
+
+    def __getitem__(self, item_id: str) -> CategorizedItem:
+        entry = self._built.get(item_id)
+        if entry is None:
+            position = self.pool.positions[item_id]
+            if not self.present[position]:
+                raise KeyError(item_id)
+            ids = self.pair_ids[self.offsets[position]:self.offsets[position + 1]].tolist()
+            entry = CategorizedItem(
+                item=self.pool.items[position], pairs=frozenset(map(self.pairs.__getitem__, ids))
+            )
+            # setdefault, atomic on a dict, gives threads racing here one object.
+            entry = self._built.setdefault(item_id, entry)
+        return entry
+
+    def __contains__(self, item_id: object) -> bool:
+        position = self.pool.positions.get(item_id)
+        return position is not None and bool(self.present[position])
+
+    def __iter__(self) -> Iterator[str]:
+        items = self.pool.items
+        return (items[position].id for position in np.flatnonzero(self.present).tolist())
+
+    def __len__(self) -> int:
+        return self._length
+
+
 @dataclass(frozen=True)
 class CategorizedPool:
-    """The categorized item pool, tied to the taxonomy that produced it."""
+    """The categorized item pool, tied to the taxonomy that produced it.
+
+    ``entries`` may be any item id -> ``CategorizedItem`` mapping over pool
+    items; it is kept as :class:`PoolEntries` columns.
+    """
 
     taxonomy_ref: tuple[str, int]  # (fingerprint, feature count)
     entries: Mapping[str, CategorizedItem]
@@ -75,6 +150,10 @@ class CategorizedPool:
     # builder's settings (see recommender.build_pool_index). A pool made by
     # ``dataclasses.replace`` starts empty.
     indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.entries, PoolEntries) and self.entries.pool is self.pool):
+            object.__setattr__(self, "entries", PoolEntries.of(self.pool, self.entries))
 
 
 @dataclass
@@ -367,16 +446,77 @@ def _cache_path(cache_dir: Path, domain_label: str) -> Path:
     return Path(cache_dir) / domain_label / "items.jsonl"
 
 
-class _PairTable(dict):
-    """One pool's feature pairs, each held once: (key, value) -> its FeaturePair.
+class _Vocabulary(dict):
+    """One pool's feature pairs: (key, value) -> pair id, and ``pairs``, id -> ``FeaturePair``.
 
-    A pair not yet in the table is built, and so validated, on its first
-    lookup; an invalid one raises as ``FeaturePair`` does.
+    It starts from ``pairs``; a pair not yet in it gets the next id, and is
+    built, and so validated, on its first lookup; an invalid one raises as
+    ``FeaturePair`` does. A ``FeaturePair`` looks up as its plain tuple.
     """
 
-    def __missing__(self, key_value: tuple[str, str]) -> FeaturePair:
-        pair = self[key_value] = FeaturePair(*key_value)
-        return pair
+    def __init__(self, pairs: Sequence[FeaturePair]) -> None:
+        super().__init__(zip(pairs, range(len(pairs))))
+        self.pairs = list(pairs)
+
+    def __missing__(self, key_value: tuple[str, str]) -> int:
+        pair = FeaturePair(*key_value)
+        pair_id = self[key_value] = len(self.pairs)
+        self.pairs.append(pair)
+        return pair_id
+
+
+class _EntryWriter:
+    """Pair ids per pool item, written in any order and read out as :class:`PoolEntries`.
+
+    An item's pair ids are appended to ``ids`` and then closed with
+    :meth:`close` (or both at once, by :meth:`write`); a later close of an
+    item replaces the earlier one.
+    """
+
+    def __init__(self, pool: ItemPool, pairs: Sequence[FeaturePair]) -> None:
+        self.pool = pool
+        self.vocabulary = _Vocabulary(pairs)
+        self.ids: list[int] = []
+        self.starts = [0] * len(pool.items)
+        self.ends = [0] * len(pool.items)
+        self.written = bytearray(len(pool.items))
+
+    def close(self, position: int, start: int) -> None:
+        """``ids[start:]`` are the pairs of the item at ``position``."""
+        self.starts[position] = start
+        self.ends[position] = len(self.ids)
+        self.written[position] = 1
+
+    def write(self, position: int, pairs: Iterable[tuple[str, str]]) -> None:
+        """``pairs`` are the pairs of the item at ``position``."""
+        start = len(self.ids)
+        self.ids.extend(map(self.vocabulary.__getitem__, pairs))
+        self.close(position, start)
+
+    def finish(self) -> PoolEntries:
+        starts = np.array(self.starts, dtype=np.int32)
+        lengths = np.array(self.ends, dtype=np.int32) - starts
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=offsets[1:])
+        pair_ids = np.array(self.ids, dtype=np.int32)
+        if len(pair_ids) != offsets[-1] or ((starts != offsets[:-1]) & (lengths > 0)).any():
+            # Some items were written twice or out of pool order.
+            gather = np.arange(offsets[-1], dtype=np.int32) + np.repeat(starts - offsets[:-1], lengths)
+            pair_ids = pair_ids[gather]
+        items = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+        # Each item's ids ascending and distinct. A written line lists its
+        # pairs sorted, as the record table numbers them, so a warm load
+        # nearly always has them so already.
+        if not ((np.diff(pair_ids) > 0) | (np.diff(items) > 0)).all():
+            width = len(self.vocabulary.pairs)
+            keys = np.sort(items.astype(np.int64) * width + pair_ids)
+            keys = keys[np.concatenate(([True], np.diff(keys) > 0))]
+            items, pair_ids = np.divmod(keys, width)
+            np.cumsum(np.bincount(items, minlength=len(lengths)), out=offsets[1:])
+        return PoolEntries(
+            self.pool, self.vocabulary.pairs, offsets, pair_ids.astype(np.int32, copy=False),
+            np.frombuffer(self.written, dtype=bool),
+        )
 
 
 _decode_json = json.JSONDecoder().raw_decode
@@ -391,85 +531,109 @@ _PAIR_SEPARATOR = "}, {"
 _RAW_TEXT_HEAD = '}], "raw_text": "'
 
 
-def _record_pair_texts(taxonomy: Taxonomy, table: _PairTable) -> dict[str, FeaturePair]:
-    """Each ``taxonomy`` pair's text inside a written record's pairs list -> its pair in ``table``.
+def _record_table(taxonomy: Taxonomy) -> tuple[tuple[FeaturePair, ...], dict[str, int]]:
+    """``taxonomy``'s pairs, sorted, and each pair's text in a record's pairs list -> its index.
 
-    The text is the writer's own encoding of the pair object, less its braces.
+    The text is the writer's own encoding of the pair object, less its
+    braces. Sorted, the indexes of a written record's pairs ascend, as
+    :class:`PoolEntries` keeps them. Built on first use and kept on the
+    taxonomy, as its reply table is; a pool's vocabulary starts from these
+    pairs, so an index is also the pair's id in every pool over the taxonomy.
     """
-    texts: dict[str, FeaturePair] = {}
-    for feature in taxonomy.features:
-        for value in feature.values:
-            try:
-                pair = table[feature.name, value]
-            except ValueError:
-                continue  # no record can hold such a pair
-            texts[json.dumps({"key": feature.name, "value": value}, sort_keys=True)[1:-1]] = pair
-    return texts
+    table = taxonomy.__dict__.get("_record_table")
+    if table is None:
+        pairs: set[FeaturePair] = set()
+        for feature in taxonomy.features:
+            for value in feature.values:
+                try:
+                    pairs.add(FeaturePair(feature.name, value))
+                except ValueError:
+                    continue  # no record can hold such a pair
+        ordered = tuple(sorted(pairs))
+        texts = {
+            json.dumps({"key": key, "value": value}, sort_keys=True)[1:-1]: pair_id
+            for pair_id, (key, value) in enumerate(ordered)
+        }
+        # setdefault, atomic on a dict, gives threads racing here one table.
+        table = taxonomy.__dict__.setdefault("_record_table", (ordered, texts))
+    return table
 
 
-def _tabled_entry(
-    line: str, tail: str, by_id: Mapping[str, Item], pair_texts: Mapping[str, FeaturePair]
-) -> CategorizedItem | None:
-    """The entry of a record line in the writer's layout, read through ``pair_texts``; else None.
+def _tabled_position(
+    line: str, tail: str, positions: Mapping[str, int], texts: Mapping[str, int], ids: list[int]
+) -> int | None:
+    """The pool position of a record line's item, read through ``texts``; else None.
 
     The line must be ``{"item_id": "``, an id holding no ``"``, ``\\`` or
     non-printable character that names a pool item, ``", "pairs": [{``,
-    parts joined by ``}, {`` that are each in ``pair_texts``,
+    parts joined by ``}, {`` that are each in ``texts``,
     ``}], "raw_text": "``, one JSON string that ``json.decoder.scanstring``
     reads to exactly where ``tail`` starts, and ``tail``. Such a line is, by
     construction, the JSON text of the record naming that item, those pairs
     and the tail's fingerprint, so this reading is the one decoding gives.
+    The pairs' ids are appended to ``ids``, which is left as it was for a
+    line this reading does not take.
     """
     if not (line.startswith(_RECORD_HEAD) and line.endswith(tail)):
         return None
     id_end = line.find(_PAIRS_HEAD, len(_RECORD_HEAD))
     item_id = line[len(_RECORD_HEAD):id_end]
-    item = by_id.get(item_id)
-    if id_end < 0 or item is None or '"' in item_id or "\\" in item_id or not item_id.isprintable():
+    position = positions.get(item_id)
+    if id_end < 0 or position is None or '"' in item_id or "\\" in item_id or not item_id.isprintable():
         return None
     pairs_start = id_end + len(_PAIRS_HEAD)
     pairs_end = line.find(_RAW_TEXT_HEAD, pairs_start)
     if pairs_end < 0:
         return None
     try:
-        pairs = frozenset(map(pair_texts.__getitem__, line[pairs_start:pairs_end].split(_PAIR_SEPARATOR)))
         raw_end = _scan_json_string(line, pairs_end + len(_RAW_TEXT_HEAD))[1]
-    except (KeyError, ValueError):
+    except ValueError:
         return None
     if raw_end != len(line) - len(tail):
         return None
-    return CategorizedItem(item=item, pairs=pairs)
+    start = len(ids)
+    try:
+        ids.extend(map(texts.__getitem__, line[pairs_start:pairs_end].split(_PAIR_SEPARATOR)))
+    except KeyError:
+        del ids[start:]
+        return None
+    return position
 
 
 def _load_cached_entries(
-    path: Path, fingerprint: str, pool: ItemPool, taxonomy: Taxonomy, table: _PairTable
-) -> dict[str, CategorizedItem]:
-    """The pool's cached categorizations under ``fingerprint``, by item id.
+    path: Path, fingerprint: str, pool: ItemPool, taxonomy: Taxonomy
+) -> _EntryWriter:
+    """The pool's cached categorizations under ``fingerprint``, written as pair ids per item.
 
     Lines are read in file order, and a later record for an item overrides
     an earlier one. A line the writer wrote for a pool item, over values in
-    ``taxonomy``'s lists, is read through a table built once per load (each
-    taxonomy pair's text inside a pairs list -> its pair in ``table``; see
-    :func:`_tabled_entry`), with no JSON object built per pair. Every other
-    line is decoded as JSON: a torn line, a line with text after its record,
-    or a record under another fingerprint or of the wrong shape is skipped,
-    and its item is categorized again; values outside the taxonomy's lists
-    are kept. Either way, equal pairs are one object from ``table``.
+    ``taxonomy``'s lists, is read through the taxonomy's record table (each
+    pair's text inside a pairs list -> its id; see :func:`_tabled_position`),
+    with no JSON object built per pair. Every other line is decoded as
+    JSON: a torn line, a line with text after its record, or a record under
+    another fingerprint or of the wrong shape is skipped, and its item is
+    categorized again; values outside the taxonomy's lists are kept, with
+    ids past the taxonomy's in the pool's vocabulary. No ``CategorizedItem``
+    is built: :meth:`_EntryWriter.finish` makes the pool's columns.
     """
-    entries: dict[str, CategorizedItem] = {}
+    pairs, texts = _record_table(taxonomy)
+    writer = _EntryWriter(pool, pairs)
     if not path.exists():
-        return entries
-    by_id = pool.by_id
-    pair_texts = _record_pair_texts(taxonomy, table)
+        return writer
+    positions = pool.positions
+    ids = writer.ids
+    vocabulary = writer.vocabulary
+    close = writer.close
     tail = f', "taxonomy_fingerprint": {json.dumps(fingerprint)}}}'
     with path.open(encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
-            entry = _tabled_entry(line, tail, by_id, pair_texts)
-            if entry is not None:
-                entries[entry.item.id] = entry
+            start = len(ids)
+            position = _tabled_position(line, tail, positions, texts, ids)
+            if position is not None:
+                close(position, start)
                 continue
             # A torn line (JSONDecodeError is a ValueError), a line with text
             # after its record, or a record of the wrong shape is skipped;
@@ -478,15 +642,16 @@ def _load_cached_entries(
                 record, end = _decode_json(line)
                 if end != len(line) or record.get("taxonomy_fingerprint") != fingerprint:
                     continue
-                item = by_id.get(record.get("item_id"))
-                if item is None:
+                position = positions.get(record.get("item_id"))
+                if position is None:
                     continue
-                pairs = frozenset(map(table.__getitem__, map(_pair_key_value, record.get("pairs", []))))
+                ids.extend(map(vocabulary.__getitem__, map(_pair_key_value, record.get("pairs", []))))
             except (AttributeError, KeyError, TypeError, ValueError):
+                del ids[start:]
                 continue
-            if pairs:
-                entries[item.id] = CategorizedItem(item=item, pairs=pairs)
-    return entries
+            if len(ids) > start:
+                close(position, start)
+    return writer
 
 
 def _start_fresh_line(path: Path) -> None:
@@ -526,8 +691,8 @@ def load_categorized_pool(
     """
     fingerprint = taxonomy_fingerprint(model_name, taxonomy)
     entries = _load_cached_entries(
-        _cache_path(cache_dir, pool.domain_label), fingerprint, pool, taxonomy, _PairTable()
-    )
+        _cache_path(cache_dir, pool.domain_label), fingerprint, pool, taxonomy
+    ).finish()
     coverage = len(entries) / len(pool.items)
     if coverage < 1.0:
         raise TaxRecError(
@@ -571,12 +736,11 @@ def categorize_pool(
     fingerprint = taxonomy_fingerprint(provider.model_name, taxonomy)
     path = _cache_path(cache_dir, pool.domain_label)
     path.parent.mkdir(parents=True, exist_ok=True)
-    table = _PairTable()
-    entries = _load_cached_entries(path, fingerprint, pool, taxonomy, table)
-    todo = [item for item in pool.items if item.id not in entries]
+    writer = _load_cached_entries(path, fingerprint, pool, taxonomy)
+    todo = [position for position, written in enumerate(writer.written) if not written]
     stats = stats if stats is not None else CategorizeStats()
 
-    done = len(entries)
+    done = len(pool.items) - len(todo)
     total = len(pool.items)
     if progress is not None:
         progress(done, total, 0)
@@ -591,20 +755,22 @@ def categorize_pool(
     if todo:
         _start_fresh_line(path)
         with path.open("a", encoding="utf-8") as handle, closing(
-            fan_out(categorize, todo, max_workers)
+            fan_out(categorize, [pool.items[position] for position in todo], max_workers)
         ) as outcomes:
-            # Cache writes and the pair table are touched only on this
+            # Cache writes and the pool's columns are touched only on this
             # thread, in pool order: one writer, many categorization
             # workers, no lock, and the same cache bytes whatever order the
             # workers finish in.
-            for item, outcome in zip(todo, outcomes):
+            for position, outcome in zip(todo, outcomes):
+                item = pool.items[position]
                 if isinstance(outcome, Exception):
                     stats.failures.append((item.id, str(outcome)))
                 else:
                     pairs, raw_text = outcome
-                    categorized = CategorizedItem(item=item, pairs=frozenset(map(table.__getitem__, pairs)))
-                    entries[item.id] = categorized
-                    _append_cache_record(handle, item.id, fingerprint, categorized, raw_text)
+                    writer.write(position, pairs)
+                    _append_cache_record(
+                        handle, item.id, fingerprint, CategorizedItem(item=item, pairs=pairs), raw_text
+                    )
                     done += 1
                 if progress is not None:
                     progress(done, total, len(stats.failures))
@@ -617,6 +783,7 @@ def categorize_pool(
             f"first: {stats.failures[0][0]}: {stats.failures[0][1]}"
         )
 
+    entries = writer.finish()
     coverage = len(entries) / total
     return CategorizedPool(
         taxonomy_ref=(fingerprint, len(taxonomy.features)),

@@ -76,11 +76,13 @@ class Recommendation:
 def categorize_history(
     history: Sequence[Item], pool: CategorizedPool
 ) -> list[CategorizedItem]:
-    """Order-preserving lookup of history items in the categorized pool."""
-    missing = sorted({item.id for item in history if item.id not in pool.entries})
-    if missing:
-        raise TaxRecError(f"history items not in categorized pool: {', '.join(missing)}")
-    return [pool.entries[item.id] for item in history]
+    """Order-preserving lookup of history items in the categorized pool, one per item."""
+    entries = pool.entries
+    try:
+        return [entries[item.id] for item in history]
+    except KeyError:
+        missing = sorted({item.id for item in history if item.id not in entries})
+        raise TaxRecError(f"history items not in categorized pool: {', '.join(missing)}") from None
 
 
 def history_to_prompt_text(
@@ -176,22 +178,34 @@ def build_pool_index(pool: CategorizedPool, *, include_titles: bool = False) -> 
 
 
 def _build_index(pool: CategorizedPool, include_titles: bool) -> PoolIndex:
-    positions: defaultdict[FeaturePair, list[int]] = defaultdict(list)
-    most = 0
-    for position, item in enumerate(pool.pool.items):
-        categorized = pool.entries.get(item.id)
-        pairs = categorized.pairs if categorized is not None else frozenset()
-        if include_titles:
+    entries = pool.entries
+    pair_ids = entries.pair_ids
+    # One stable sort of the pool's pair ids lists each pair's items in
+    # pool order; cutting it where each id starts gives its postings.
+    order = np.argsort(pair_ids, kind="stable")
+    lengths = np.diff(entries.offsets)
+    positions = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)[order]
+    cuts = np.searchsorted(pair_ids[order], np.arange(len(entries.pairs) + 1)).tolist()
+    postings = {
+        pair: positions[start:end]
+        for pair, start, end in zip(entries.pairs, cuts, cuts[1:])
+        if start < end
+    }
+    if include_titles:
+        titled: defaultdict[FeaturePair, list[int]] = defaultdict(list)
+        for position, item in enumerate(pool.pool.items):
             title = normalize_text(item.title)
             if title:
-                pairs = pairs | {FeaturePair(TITLE_KEY, title)}
-        for pair in pairs:
-            positions[pair].append(position)
-        most = max(most, len(pairs))
+                titled[FeaturePair(TITLE_KEY, title)].append(position)
+        for pair, at in titled.items():
+            if pair in postings:  # an item categorized with its own title pair posts it once
+                at = sorted(set(at).union(postings[pair].tolist()))
+            postings[pair] = np.array(at, dtype=np.int32)
+    counts = np.bincount(np.concatenate([_NO_HITS, *postings.values()]), minlength=len(pool.pool.items))
     return PoolIndex(
-        postings={pair: np.array(at, dtype=np.int32) for pair, at in positions.items()},
+        postings=postings,
         item_ids=np.array([item.id for item in pool.pool.items], dtype=object),
-        scores=np.array([float(count) for count in range(most + 1)], dtype=object),
+        scores=np.array([float(count) for count in range(counts.max() + 1)], dtype=object),
     )
 
 

@@ -1,10 +1,11 @@
 """A warm cache load gives what decoding every line gives.
 
 ``catalog._load_cached_entries`` reads a line laid out as the writer lays it
-out through a per-load table of pair texts, and decodes every other line.
-The property below loads generated caches with it and with the plain
-``raw_decode`` loop it replaced, and compares the entries and their pair
-objects.
+out through the taxonomy's table of pair texts, and decodes every other
+line, writing pair ids into the pool's columns. The property below loads
+generated caches with it and with the plain ``raw_decode`` loop it
+replaced, and compares the materialized entries; each materialized pair
+must be the pool vocabulary's own object.
 """
 from __future__ import annotations
 
@@ -41,9 +42,7 @@ def mostly(usual: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrate
 _NAME = mostly(_PLAIN, _TEXT)
 
 
-def reference_load(
-    path: Path, fingerprint: str, pool: ItemPool, table: catalog._PairTable
-) -> dict[str, CategorizedItem]:
+def reference_load(path: Path, fingerprint: str, pool: ItemPool) -> dict[str, CategorizedItem]:
     """The loader as it was before the record-text table: decode every line."""
     decode = json.JSONDecoder().raw_decode
     key_value = itemgetter("key", "value")
@@ -61,7 +60,7 @@ def reference_load(
                 item = by_id.get(record.get("item_id"))
                 if item is None:
                     continue
-                pairs = frozenset(map(table.__getitem__, map(key_value, record.get("pairs", []))))
+                pairs = frozenset(FeaturePair(*key_value(pair)) for pair in record.get("pairs", []))
             except (AttributeError, KeyError, TypeError, ValueError):
                 continue
             if pairs:
@@ -145,13 +144,15 @@ def cache_lines(draw, taxonomy: Taxonomy, pool: ItemPool) -> list[str]:
 
 
 def assert_loads_as_decoded(path: Path, taxonomy: Taxonomy, pool: ItemPool) -> None:
-    table = catalog._PairTable()
-    expected = reference_load(path, _FINGERPRINT, pool, table)
-    loaded = catalog._load_cached_entries(path, _FINGERPRINT, pool, taxonomy, table)
-    assert loaded == expected
+    expected = reference_load(path, _FINGERPRINT, pool)
+    loaded = catalog._load_cached_entries(path, _FINGERPRINT, pool, taxonomy).finish()
+    assert dict(loaded) == expected
+    assert list(loaded) == [item.id for item in pool.items if item.id in expected]
+    vocabulary = {pair: pair for pair in loaded.pairs}
+    assert len(vocabulary) == len(loaded.pairs)
     for item_id, entry in loaded.items():
         assert entry.item is expected[item_id].item
-        assert {id(pair) for pair in entry.pairs} == {id(pair) for pair in expected[item_id].pairs}
+        assert all(pair is vocabulary[pair] for pair in entry.pairs)
 
 
 @settings(max_examples=400, deadline=None)
