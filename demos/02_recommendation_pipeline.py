@@ -44,7 +44,7 @@ for pair in sorted(result.feature_set.pairs):
     print(f"  {pair.key}: {pair.value}")
 print("--- top-5 by feature intersection ---")
 for rank, (item_id, score) in enumerate(result.ranked.entries, start=1):
-    print(f"  {rank}. {pool.by_id[item_id].title}  (score {score:.0f})")
+    print(f"  {rank}. {pool.items[pool.positions[item_id]].title}  (score {score:.0f})")
 
 # The taxonomy-free variant sends raw titles and gets free text back. The
 # mock imitates the classic failure mode: invented titles outside the
@@ -56,11 +56,11 @@ print("--- raw model output ---")
 print(direct.raw_output)
 print("--- top-5 scores (all zero: nothing matched the pool) ---")
 for rank, (item_id, score) in enumerate(direct.ranked.entries, start=1):
-    print(f"  {rank}. {pool.by_id[item_id].title}  (score {score:.0f})")
+    print(f"  {rank}. {pool.items[pool.positions[item_id]].title}  (score {score:.0f})")
 
 # Free-text matchers grade partial overlap instead of parsing features.
 print("\n=== matching ablation (ROUGE-L over raw output) ===")
 rouge_cfg = RecommendConfig(k=5, matcher="rouge")
 rouge = recommend(provider, sequence, cpool, doc.taxonomy, rouge_cfg, domain_label="book")
 for rank, (item_id, score) in enumerate(rouge.ranked.entries, start=1):
-    print(f"  {rank}. {pool.by_id[item_id].title}  (score {score:.3f})")
+    print(f"  {rank}. {pool.items[pool.positions[item_id]].title}  (score {score:.3f})")

@@ -64,17 +64,16 @@ class AverageEmbeddingRecommender:
         self._ids = [item.id for item in pool.items]
         vectors = embedder.embed([item.title for item in pool.items])
         self._matrix = np.asarray(vectors, dtype=float)
-        self._by_id = {item_id: row for item_id, row in zip(self._ids, self._matrix)}
 
     def recommend(self, history: InteractionSequence, k: int) -> RankedList:
         if not history.history:
             raise TaxRecError("cannot average an empty history")
         rows = []
         for item in history.history:
-            row = self._by_id.get(item.id)
-            if row is None:
+            position = self.pool.positions.get(item.id)
+            if position is None:
                 raise TaxRecError(f"history item {item.id!r} not in pool")
-            rows.append(row)
+            rows.append(self._matrix[position])
         user_vector = np.mean(rows, axis=0)
         seen = {item.id for item in history.history}
         products = self._matrix @ user_vector

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class ItemPool:
         ids = [item.id for item in self.items]
         if len(ids) != len(set(ids)):
             raise ValueError("item ids must be unique within a pool")
-
-    @cached_property
-    def by_id(self) -> Mapping[str, Item]:
-        return {item.id: item for item in self.items}
 
     @cached_property
     def positions(self) -> Mapping[str, int]:
@@ -361,42 +357,64 @@ def filter_pairs(
     return frozenset(kept)
 
 
-def _reply_table(taxonomy: Taxonomy) -> dict[str, frozenset[FeaturePair]]:
-    """Each canonical ``name: value`` line of ``taxonomy`` -> the pairs
-    :func:`filter_pairs` reads from that line alone.
+class _PairTable(NamedTuple):
+    """A taxonomy's (feature, value) pairs, read once for replies and for cache records.
 
-    A line holding ``{``, reading as nothing, or losing a pair to the
-    feature-name filter is left out; the empty line reads as no pairs.
-    Built on first use and kept on the taxonomy, as its prompt text is.
+    ``pairs`` are the pairs, sorted: a pair's index is its id in every
+    pool over the taxonomy, and a written record's ids ascend, as
+    :class:`PoolEntries` keeps them. ``lines`` maps each canonical
+    ``name: value`` line to the pairs :func:`filter_pairs` reads from that
+    line alone; a line holding ``{``, reading as nothing or losing a pair
+    to the feature-name filter is left out, and the empty line reads as no
+    pairs. ``texts`` maps each pair's text in a record's pairs list (the
+    writer's own encoding of the pair object, less its braces) to its id.
     """
-    table = taxonomy.__dict__.get("_reply_table")
+
+    pairs: tuple[FeaturePair, ...]
+    lines: dict[str, frozenset[FeaturePair]]
+    texts: dict[str, int]
+
+
+def _pair_table(taxonomy: Taxonomy) -> _PairTable:
+    """``taxonomy``'s pair table, built in one pass on first use and kept on the taxonomy."""
+    table = taxonomy.__dict__.get("_pair_table")
     if table is None:
         allowed = set(taxonomy.feature_names)
-        table = {"": frozenset()}
+        pairs: set[FeaturePair] = set()
+        lines = {"": frozenset()}
         for feature in taxonomy.features:
             for value in feature.values:
+                try:
+                    pairs.add(FeaturePair(feature.name, value))
+                except ValueError:
+                    pass  # no record can hold such a pair
                 line = f"{feature.name}: {value}"
                 if "{" in line:
                     continue
                 line_stats = CategorizeStats()
-                pairs = filter_pairs(line, allowed, line_stats)
-                if pairs and not line_stats.dropped_pairs:
-                    table[line] = pairs
+                read = filter_pairs(line, allowed, line_stats)
+                if read and not line_stats.dropped_pairs:
+                    lines[line] = read
+        ordered = tuple(sorted(pairs))
+        texts = {
+            json.dumps({"key": key, "value": value}, sort_keys=True)[1:-1]: pair_id
+            for pair_id, (key, value) in enumerate(ordered)
+        }
         # setdefault, atomic on a dict, gives threads racing here one table.
-        table = taxonomy.__dict__.setdefault("_reply_table", table)
+        table = taxonomy.__dict__.setdefault("_pair_table", _PairTable(ordered, lines, texts))
     return table
 
 
 def canonical_pairs(text: str, taxonomy: Taxonomy) -> frozenset[FeaturePair] | None:
     """The pairs of a reply made only of ``taxonomy``'s canonical lines, or None.
 
-    Looks each line up in the taxonomy's reply table and stops at the first
+    Looks each line up in the taxonomy's pair table and stops at the first
     miss. A reply it answers holds no ``{`` and only lines whose keys are
     taxonomy features, and the line grammar reads each line on its own, so
     the answer is what :func:`filter_pairs` gives for any ``allowed`` set
     holding the feature names, with nothing dropped.
     """
-    table = _reply_table(taxonomy)
+    table = _pair_table(taxonomy).lines
     # A reply outside the table nearly always misses on its first line, so
     # that line is looked up before the whole reply is split. The check can
     # only send a reply to the general parser: a first line ended by a
@@ -505,7 +523,7 @@ class _EntryWriter:
             pair_ids = pair_ids[gather]
         items = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
         # Each item's ids ascending and distinct. A written line lists its
-        # pairs sorted, as the record table numbers them, so a warm load
+        # pairs sorted, as the pair table numbers them, so a warm load
         # nearly always has them so already.
         if not ((np.diff(pair_ids) > 0) | (np.diff(items) > 0)).all():
             width = len(self.vocabulary.pairs)
@@ -529,34 +547,6 @@ _RECORD_HEAD = '{"item_id": "'
 _PAIRS_HEAD = '", "pairs": [{'
 _PAIR_SEPARATOR = "}, {"
 _RAW_TEXT_HEAD = '}], "raw_text": "'
-
-
-def _record_table(taxonomy: Taxonomy) -> tuple[tuple[FeaturePair, ...], dict[str, int]]:
-    """``taxonomy``'s pairs, sorted, and each pair's text in a record's pairs list -> its index.
-
-    The text is the writer's own encoding of the pair object, less its
-    braces. Sorted, the indexes of a written record's pairs ascend, as
-    :class:`PoolEntries` keeps them. Built on first use and kept on the
-    taxonomy, as its reply table is; a pool's vocabulary starts from these
-    pairs, so an index is also the pair's id in every pool over the taxonomy.
-    """
-    table = taxonomy.__dict__.get("_record_table")
-    if table is None:
-        pairs: set[FeaturePair] = set()
-        for feature in taxonomy.features:
-            for value in feature.values:
-                try:
-                    pairs.add(FeaturePair(feature.name, value))
-                except ValueError:
-                    continue  # no record can hold such a pair
-        ordered = tuple(sorted(pairs))
-        texts = {
-            json.dumps({"key": key, "value": value}, sort_keys=True)[1:-1]: pair_id
-            for pair_id, (key, value) in enumerate(ordered)
-        }
-        # setdefault, atomic on a dict, gives threads racing here one table.
-        table = taxonomy.__dict__.setdefault("_record_table", (ordered, texts))
-    return table
 
 
 def _tabled_position(
@@ -607,7 +597,7 @@ def _load_cached_entries(
 
     Lines are read in file order, and a later record for an item overrides
     an earlier one. A line the writer wrote for a pool item, over values in
-    ``taxonomy``'s lists, is read through the taxonomy's record table (each
+    ``taxonomy``'s lists, is read through the taxonomy's pair table (each
     pair's text inside a pairs list -> its id; see :func:`_tabled_position`),
     with no JSON object built per pair. Every other line is decoded as
     JSON: a torn line, a line with text after its record, or a record under
@@ -616,7 +606,7 @@ def _load_cached_entries(
     ids past the taxonomy's in the pool's vocabulary. No ``CategorizedItem``
     is built: :meth:`_EntryWriter.finish` makes the pool's columns.
     """
-    pairs, texts = _record_table(taxonomy)
+    pairs, _, texts = _pair_table(taxonomy)
     writer = _EntryWriter(pool, pairs)
     if not path.exists():
         return writer

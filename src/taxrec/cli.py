@@ -287,10 +287,10 @@ def _read_history_ids(ids: str, ids_file: str) -> list[str]:
 def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
     pool, _ = load_dataset(cfg)
     history_ids = _read_history_ids(ids, ids_file)
-    unknown = [item_id for item_id in history_ids if item_id not in pool.by_id]
+    unknown = [item_id for item_id in history_ids if item_id not in pool.positions]
     if unknown:
         raise TaxRecError(f"unknown item ids: {', '.join(unknown)}")
-    history = [pool.by_id[item_id] for item_id in history_ids]
+    history = [pool.items[pool.positions[item_id]] for item_id in history_ids]
     sequence = InteractionSequence(
         user_id="cli", history=tuple(history), target=Item(id="__cli_no_target__", title="")
     )
@@ -312,7 +312,7 @@ def cmd_recommend(cfg: RunConfig, ids: str, ids_file: str) -> int:
 
     print(f"{'rank':>4}  {'id':<12} {'score':>8}  title")
     for rank, (item_id, score) in enumerate(result.ranked.entries, start=1):
-        title = pool.by_id[item_id].title
+        title = pool.items[pool.positions[item_id]].title
         print(f"{rank:>4}  {item_id:<12} {score:>8.3f}  {title}")
     if cfg.verbose:
         print("\n--- prompt ---")

@@ -95,7 +95,11 @@ class Taxonomy:
 
 # The (feature, value) pairs of every taxonomy Feature built, each held
 # once. It grows with taxonomies built, never with requests or replies: a
-# pair outside every taxonomy is built anew and not added.
+# pair outside every taxonomy is built anew and not added. It stays beside
+# the per-taxonomy pair table because pairs built by hand, as a benchmark
+# pool's are, share the taxonomy's objects through it: without it, building
+# 50,000 such pairs made 50,000 more GC-tracked tuples, and GC traversal
+# added about 60% to the pool's build (44 -> 71 ms, 2 vCPUs).
 _TAXONOMY_PAIRS: dict[tuple[str, str], FeaturePair] = {}
 
 

@@ -100,9 +100,9 @@ def build_movie_sequences(
         for position in range(1, len(records)):
             target_id = records[position].item_id
             window = records[max(0, position - HISTORY_LENGTH) : position]
-            if target_id not in pool.by_id:
+            if target_id not in pool.positions:
                 continue
-            if any(r.item_id == target_id or r.item_id not in pool.by_id for r in window):
+            if any(r.item_id == target_id or r.item_id not in pool.positions for r in window):
                 continue
             eligible.append((user_id, position))
 
@@ -117,8 +117,8 @@ def build_movie_sequences(
     for user_id, position in chosen:
         records = by_user[user_id]
         window = records[max(0, position - HISTORY_LENGTH) : position]
-        history = pad_history([pool.by_id[r.item_id] for r in window], HISTORY_LENGTH)
-        target = pool.by_id[records[position].item_id]
+        history = pad_history([pool.items[pool.positions[r.item_id]] for r in window], HISTORY_LENGTH)
+        target = pool.items[pool.positions[records[position].item_id]]
         sequences.append(
             InteractionSequence(user_id=user_id, history=tuple(history), target=target)
         )
@@ -139,7 +139,7 @@ def build_book_sequences(
     """
     by_user: dict[str, list[str]] = defaultdict(list)
     for record in sorted(interactions, key=lambda r: (r.user_id, r.item_id)):
-        if record.item_id in pool.by_id and record.item_id not in by_user[record.user_id]:
+        if record.item_id in pool.positions and record.item_id not in by_user[record.user_id]:
             by_user[record.user_id].append(record.item_id)
 
     eligible_users = [user_id for user_id in sorted(by_user) if len(by_user[user_id]) >= 2]
@@ -159,10 +159,10 @@ def build_book_sequences(
             history_ids = rng.sample(others, HISTORY_LENGTH)
         else:
             history_ids = rng.sample(others, len(others))
-        history = pad_history([pool.by_id[i] for i in history_ids], HISTORY_LENGTH)
+        history = pad_history([pool.items[pool.positions[i]] for i in history_ids], HISTORY_LENGTH)
         sequences.append(
             InteractionSequence(
-                user_id=user_id, history=tuple(history), target=pool.by_id[target_id]
+                user_id=user_id, history=tuple(history), target=pool.items[pool.positions[target_id]]
             )
         )
     return sequences

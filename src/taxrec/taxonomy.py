@@ -66,7 +66,7 @@ def truncate_features(t: Taxonomy, n: int) -> Taxonomy:
 
     The truncation to each ``n`` is built once and kept on ``t``, so every
     request truncating to ``n`` shares one taxonomy, with one prompt text
-    and one reply table (see :func:`catalog.canonical_pairs`).
+    and one pair table (see :func:`catalog.canonical_pairs`).
     """
     if n < 1:
         raise ValueError("feature count must be >= 1")

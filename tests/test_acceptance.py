@@ -380,8 +380,8 @@ def test_criterion_10_ingestion_counts(tmp_path):
     )
     book_pool, book_interactions = load_bookcrossing(tmp_path)
     assert sorted(item.id for item in book_pool.items) == ["0002005018", "0195153448"]
-    assert book_pool.by_id["0002005018"].title == "Clara Callan; A Novel"
-    assert book_pool.by_id["0195153448"].extra == {
+    assert book_pool.items[book_pool.positions["0002005018"]].title == "Clara Callan; A Novel"
+    assert book_pool.items[book_pool.positions["0195153448"]].extra == {
         "author": "Mark P. O. Morford", "publisher": "Oxford University Press",
     }
     assert [(r.user_id, r.item_id, r.rating) for r in book_interactions] == [

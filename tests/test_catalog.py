@@ -60,7 +60,7 @@ class TestLoadMovielens:
         pool, interactions = load_movielens(tmp_path)
         assert pool.domain_label == "movie"
         assert [item.id for item in pool.items] == ["1", "2", "3"]
-        assert pool.by_id["1"].title == "Toy Story (1995)"
+        assert pool.items[pool.positions["1"]].title == "Toy Story (1995)"
         assert interactions == [
             Interaction(user_id="1", item_id="2", rating=3.0, timestamp=881250949),
             Interaction(user_id="1", item_id="1", rating=5.0, timestamp=881250950),
@@ -99,7 +99,7 @@ class TestLoadMovielens:
     def test_latin1_titles(self, tmp_path):
         write_movielens(tmp_path, ["1|Am\xe9lie (2001)|"], ["1\t1\t5\t1"])
         pool, _ = load_movielens(tmp_path)
-        assert pool.by_id["1"].title == "Am\xe9lie (2001)"
+        assert pool.items[pool.positions["1"]].title == "Am\xe9lie (2001)"
 
 
 BOOKS_HEADER = '"ISBN";"Book-Title";"Book-Author";"Year-Of-Publication";"Publisher";"Image-URL-S";"Image-URL-M";"Image-URL-L"'
@@ -142,7 +142,7 @@ class TestLoadBookcrossing:
             "0195153448",
             "0393045218",
         ]
-        assert pool.by_id["0195153448"].extra == {
+        assert pool.items[pool.positions["0195153448"]].extra == {
             "author": "Mark P. O. Morford",
             "publisher": "Oxford University Press",
         }
@@ -160,7 +160,7 @@ class TestLoadBookcrossing:
             ['"9";"111";"5"'],
         )
         pool, _ = load_bookcrossing(tmp_path)
-        assert pool.by_id["111"].title == "Clara Callan; A Novel"
+        assert pool.items[pool.positions["111"]].title == "Clara Callan; A Novel"
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -175,7 +175,7 @@ class TestLoadBookcrossing:
         with pytest.warns(UserWarning, match="1 malformed"):
             pool, interactions = load_bookcrossing(tmp_path)
         assert len(pool.items) == 200 and len(interactions) == 200
-        assert "huge" not in pool.by_id and pool.by_id["100"].title == "Title 100"
+        assert "huge" not in pool.positions and pool.items[pool.positions["100"]].title == "Title 100"
 
 
 class TestItemPromptText:

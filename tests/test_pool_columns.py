@@ -171,9 +171,9 @@ def test_warm_pool_builds_no_item_and_keeps_under_100_bytes_per_item(tmp_path, m
     provider = MockProvider(3)
     taxonomy = generate_taxonomy(provider, pool.domain_label, None).taxonomy
     catalog.categorize_pool(provider, pool, taxonomy, tmp_path, max_workers=2)
-    # The item pool's own lookup tables are built once per item pool, for
-    # every categorized pool over it; they are not counted.
-    pool.positions, pool.by_id
+    # The item pool's own lookup table is built once per item pool, for
+    # every categorized pool over it; it is not counted.
+    pool.positions
 
     def refuse(*args, **kwargs):
         raise AssertionError("a CategorizedItem was built")

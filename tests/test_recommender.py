@@ -650,7 +650,7 @@ class TestRecommendPipeline:
         provider = MockProvider(7)
         cfg = RecommendConfig(taxonomy_feature_count=4)
         result = recommend(provider, sequences[0], cpool, taxonomy, cfg, domain_label="book")
-        pool_ids = set(cpool.pool.by_id)
+        pool_ids = set(cpool.pool.positions)
         assert set(result.ranked.item_ids) <= pool_ids
 
     def test_provider_failure_labeled_complete(self, known_answer_setup):

@@ -47,7 +47,7 @@ def reference_load(path: Path, fingerprint: str, pool: ItemPool) -> dict[str, Ca
     decode = json.JSONDecoder().raw_decode
     key_value = itemgetter("key", "value")
     entries: dict[str, CategorizedItem] = {}
-    by_id = pool.by_id
+    positions = pool.positions
     with path.open(encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -57,9 +57,10 @@ def reference_load(path: Path, fingerprint: str, pool: ItemPool) -> dict[str, Ca
                 record, end = decode(line)
                 if end != len(line) or record.get("taxonomy_fingerprint") != fingerprint:
                     continue
-                item = by_id.get(record.get("item_id"))
-                if item is None:
+                position = positions.get(record.get("item_id"))
+                if position is None:
                     continue
+                item = pool.items[position]
                 pairs = frozenset(FeaturePair(*key_value(pair)) for pair in record.get("pairs", []))
             except (AttributeError, KeyError, TypeError, ValueError):
                 continue

@@ -17,8 +17,10 @@ from taxrec import _textparse, catalog, recommender
 from taxrec.catalog import CategorizeStats, canonical_pairs
 from taxrec.core import Feature, FeaturePair, Item, Taxonomy
 from taxrec.errors import ParseError
+from taxrec.gateway import MockProvider
 from taxrec.recommender import RecommendConfig, parse_feature_output
-from taxrec.taxonomy import truncate_features
+from taxrec.synthetic import make_synthetic_dataset
+from taxrec.taxonomy import generate_taxonomy, truncate_features
 
 from conftest import ScriptedProvider
 
@@ -54,7 +56,7 @@ def replies(draw, taxonomy: Taxonomy) -> str:
     kind = draw(st.sampled_from(["table", "canonical", "mixed"]))
     if kind == "table":
         # Lines the table holds: replies it answers.
-        line = st.sampled_from(sorted(line for line in catalog._reply_table(taxonomy) if line) or [""])
+        line = st.sampled_from(sorted(line for line in catalog._pair_table(taxonomy).lines if line) or [""])
     elif kind == "canonical":
         line = st.one_of(canonical, st.just(""))
     else:
@@ -175,11 +177,32 @@ def test_table_hit_returns_the_shared_taxonomy_pairs(small_taxonomy):
 
 def test_table_is_built_once_per_taxonomy(small_taxonomy):
     canonical_pairs("genre: fiction", small_taxonomy)
-    table = vars(small_taxonomy)["_reply_table"]
+    table = vars(small_taxonomy)["_pair_table"]
     canonical_pairs("theme: power", small_taxonomy)
-    assert vars(small_taxonomy)["_reply_table"] is table
+    assert vars(small_taxonomy)["_pair_table"] is table
     truncated = truncate_features(small_taxonomy, 1)
     assert canonical_pairs("genre: fiction", truncated) == {("genre", "fiction")}
     # The truncation's own table: a line of a feature cut off is a miss.
     assert canonical_pairs("theme: power", truncated) is None
-    assert vars(truncate_features(small_taxonomy, 1))["_reply_table"] is vars(truncated)["_reply_table"]
+    assert vars(truncate_features(small_taxonomy, 1))["_pair_table"] is vars(truncated)["_pair_table"]
+
+
+@pytest.mark.parametrize("feature_count", [None, 1])
+def test_replies_and_records_read_one_table(tmp_path, feature_count):
+    pool, _ = make_synthetic_dataset(n_items=40, seed=1)
+    provider = MockProvider(1)
+    taxonomy = generate_taxonomy(provider, pool.domain_label, None).taxonomy
+    if feature_count is not None:
+        taxonomy = truncate_features(taxonomy, feature_count)
+    catalog.categorize_pool(provider, pool, taxonomy, tmp_path, max_workers=1)
+    cpool = catalog.load_categorized_pool(tmp_path, pool, taxonomy, provider.model_name)
+    table = catalog._pair_table(taxonomy)
+    vocabulary = cpool.entries.pairs
+    assert vocabulary[:len(table.pairs)] == list(table.pairs)
+    assert all(pair is shared for pair, shared in zip(table.pairs, vocabulary))
+    # A table-answered reply hands out the pool vocabulary's own objects.
+    reply = "\n".join(f"{feature.name}: {value}" for feature in taxonomy.features for value in feature.values)
+    pairs = parse_feature_output(reply, taxonomy, RecommendConfig()).pairs
+    assert pairs == canonical_pairs(reply, taxonomy) == set(table.pairs)
+    by_identity = {id(pair): pair for pair in vocabulary}
+    assert all(by_identity.get(id(pair)) is pair for pair in pairs)
