@@ -110,13 +110,15 @@ class PoolEntries(Mapping[str, CategorizedItem]):
             position = self.pool.positions[item_id]
             if not self.present[position]:
                 raise KeyError(item_id)
-            ids = self.pair_ids[self.offsets[position]:self.offsets[position + 1]].tolist()
-            entry = CategorizedItem(
-                item=self.pool.items[position], pairs=frozenset(map(self.pairs.__getitem__, ids))
-            )
+            pairs = frozenset(map(self.pairs.__getitem__, self.pair_ids_at(position)))
+            entry = CategorizedItem(item=self.pool.items[position], pairs=pairs)
             # setdefault, atomic on a dict, gives threads racing here one object.
             entry = self._built.setdefault(item_id, entry)
         return entry
+
+    def pair_ids_at(self, position: int) -> list[int]:
+        """The pair ids of the item at pool ``position``, ascending."""
+        return self.pair_ids[self.offsets.item(position):self.offsets.item(position + 1)].tolist()
 
     def __contains__(self, item_id: object) -> bool:
         position = self.pool.positions.get(item_id)
@@ -143,8 +145,8 @@ class CategorizedPool:
     coverage: float
     pool: ItemPool
     # Built from this pool on first use and kept for its life, keyed by the
-    # builder's settings (see recommender.build_pool_index). A pool made by
-    # ``dataclasses.replace`` starts empty.
+    # builder's settings (the recommender's indexes and history line tables).
+    # A pool made by ``dataclasses.replace`` starts empty.
     indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

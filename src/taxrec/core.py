@@ -132,32 +132,10 @@ class FeaturePair(tuple):
 
 @dataclass(frozen=True)
 class CategorizedItem:
-    """An item plus the feature pairs assigned to it by the categorizer."""
+    """An item plus its categorizer-assigned feature pairs; its pool, not the item, keeps its prompt lines."""
 
     item: Item
     pairs: frozenset[FeaturePair]
-
-    def feature_text(self, names: tuple[str, ...]) -> str:
-        """The item's ``name: v1, v2; name: v3`` text over ``names``, as a prompt shows it.
-
-        Features follow ``names`` and each one's values are sorted; features
-        the item lacks, and pairs outside ``names``, are left out. The text is
-        kept per ``names`` tuple on the item, so each taxonomy (truncated or
-        not) renders an item once; a cache load, which never renders, never
-        builds it.
-        """
-        # setdefault, atomic on a dict, gives threads rendering the item at
-        # once one shared memo.
-        texts = self.__dict__.setdefault("_feature_texts", {})
-        text = texts.get(names)
-        if text is None:
-            by_key: dict[str, list[str]] = {}
-            for key, value in self.pairs:
-                by_key.setdefault(key, []).append(value)
-            text = texts[names] = "; ".join(
-                [f"{name}: {', '.join(sorted(by_key[name]))}" for name in names if name in by_key]
-            )
-        return text
 
 
 @dataclass(frozen=True)

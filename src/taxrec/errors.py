@@ -1,9 +1,6 @@
 """Exception hierarchy shared across the pipeline."""
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 
 class TaxRecError(Exception):
     """Base class for all package errors."""
@@ -45,16 +42,22 @@ class StageError(TaxRecError):
         self.cause = cause
 
 
-@contextmanager
-def stage(name: str) -> Iterator[None]:
-    """Raise any failure inside the block as ``StageError(name, cause)``.
+class stage:
+    """Raise any ``Exception`` inside the block as ``StageError(name, cause)``.
 
     A ``StageError`` raised by an inner stage passes through unwrapped, so
-    the innermost stage names the failure.
+    the innermost stage names the failure. Non-``Exception`` failures such
+    as ``KeyboardInterrupt`` pass through too.
     """
-    try:
-        yield
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, exc) from exc
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is not None and issubclass(exc_type, Exception) and not issubclass(exc_type, StageError):
+            raise StageError(self.name, exc) from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,28 +85,50 @@ def categorize_history(
         raise TaxRecError(f"history items not in categorized pool: {', '.join(missing)}") from None
 
 
+def _history_line(title: str, pairs: Iterable[FeaturePair], names: tuple[str, ...], titled: bool) -> str:
+    """One history item's prompt line over the feature list ``names``; "" when it shows nothing."""
+    by_key: dict[str, list[str]] = {}
+    for key, value in pairs:
+        by_key.setdefault(key, []).append(value)
+    text = "; ".join([f"{name}: {', '.join(sorted(by_key[name]))}" for name in names if name in by_key])
+    if titled:
+        return f"{title}{gateway.TITLE_SEPARATOR}{text}" if text else title
+    return text
+
+
 def history_to_prompt_text(
     hc: Sequence[CategorizedItem], cfg: RecommendConfig, taxonomy: Taxonomy
 ) -> str:
     """One line per history item, pairs ordered by taxonomy feature order.
 
-    With titles: ``Title — key: value; key: value``. Without: the feature
-    list alone. Pairs for features outside the (possibly truncated)
-    taxonomy are omitted. Each item's feature list comes from
-    :meth:`CategorizedItem.feature_text`, built once per item and feature
-    list, so a request only joins lines.
+    With titles: ``Title — key: v1, v2; key: v3``, values sorted; without,
+    the feature list alone. Pairs outside the (possibly truncated) taxonomy
+    and empty lines are left out. ``recommend`` renders the same lines into
+    the pool's line table, once per pool item, feature list and title setting.
     """
-    names = taxonomy.feature_names
+    names, titled = taxonomy.feature_names, cfg.history_with_titles
+    return "\n".join(filter(None, [_history_line(c.item.title, c.pairs, names, titled) for c in hc]))
+
+
+def _history_lines(
+    history: Sequence[Item], pool: CategorizedPool, names: tuple[str, ...], titled: bool
+) -> list[str]:
+    """Each history item's line from the pool's line table, rendered from its pair ids on first use."""
+    key = (names, titled)
+    # setdefault, atomic on a dict, gives racing threads one table; racing on a slot, they store equal lines.
+    table = pool.indexes.get(key) or pool.indexes.setdefault(key, [None] * len(pool.pool.items))
+    positions, entries = pool.pool.positions, pool.entries
     lines = []
-    for categorized in hc:
-        feature_text = categorized.feature_text(names)
-        if cfg.history_with_titles:
-            line = f"{categorized.item.title}{gateway.TITLE_SEPARATOR}{feature_text}" if feature_text else categorized.item.title
-        else:
-            line = feature_text
-        if line:
-            lines.append(line)
-    return "\n".join(lines)
+    for item in history:
+        position = positions.get(item.id)
+        line = None if position is None else table[position]
+        if line is None:
+            if item.id not in entries:
+                categorize_history(history, pool)  # raises, naming every missing item
+            pairs = map(entries.pairs.__getitem__, entries.pair_ids_at(position))
+            line = table[position] = _history_line(pool.pool.items[position].title, pairs, names, titled)
+        lines.append(line)
+    return lines
 
 
 def parse_feature_output(s: str, t: Taxonomy, cfg: RecommendConfig) -> FeatureSet:
@@ -233,7 +255,10 @@ def score_pool(
     hits = [postings[pair] for pair in f.pairs if pair in postings]
     n = len(index.item_ids)
     counts = np.bincount(np.concatenate(hits or [_NO_HITS]), minlength=n)
-    cut = np.partition(counts, n - k)[n - k] if k is not None and k < n else 0
+    cut = 0
+    if k is not None and k < n:  # the k-th largest count, off the score histogram (<= |f| + 1 levels)
+        covered = np.bincount(counts)[::-1].cumsum()
+        cut = len(covered) - 1 - int(covered.searchsorted(k))
     kept = np.flatnonzero(counts >= cut)
     return list(zip(index.item_ids[kept].tolist(), index.scores[counts[kept]].tolist()))
 
@@ -270,11 +295,10 @@ def recommend(
             raise ValueError("taxonomy required when use_taxonomy is on")
         truncated = truncate_features(t, cfg.taxonomy_feature_count)
     with stage("categorize_history"):
-        hc = categorize_history(sequence.history, pool)
+        lines = _history_lines(sequence.history, pool, truncated.feature_names, cfg.history_with_titles)
     with stage("render_prompt"):
-        history_text = history_to_prompt_text(hc, cfg, truncated)
         prompt = gateway.render_recommendation_prompt(
-            domain, taxonomy_to_prompt_text(truncated), history_text, cfg.k
+            domain, taxonomy_to_prompt_text(truncated), "\n".join(filter(None, lines)), cfg.k
         )
 
     answered = False

@@ -297,13 +297,13 @@ class TestCategorizePool:
         assert cpool.coverage == 1.0
 
     def test_warm_rerun_leaves_prompt_grouping_unbuilt(self, tmp_path, mock7, small_taxonomy):
-        # A warm pass only reads the cache; the grouping a prompt needs is
-        # built on a request's first use, never at load.
+        # A warm pass only reads the cache; the history line table a prompt
+        # reads is built on a request's first use, never at load.
         pool = small_pool(30)
         categorize_pool(mock7, pool, small_taxonomy, tmp_path)
         cpool = categorize_pool(mock7, pool, small_taxonomy, tmp_path)
         assert len(cpool.entries) == 30
-        assert not any("_feature_texts" in vars(entry) for entry in cpool.entries.values())
+        assert cpool.indexes == {}
 
     def test_rerun_leaves_cache_bytes_unchanged(self, tmp_path, mock7, small_taxonomy):
         pool = small_pool(20)

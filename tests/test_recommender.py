@@ -23,8 +23,8 @@ from taxrec.core import (
     pair_set_intersection_size,
     rank_scores,
 )
-from taxrec.errors import ParseError, StageError
-from taxrec.gateway import MockProvider
+from taxrec.errors import ParseError, StageError, stage
+from taxrec.gateway import MockProvider, render_recommendation_prompt
 from taxrec.matchers import score_titles_against_text
 from taxrec.recommender import (
     TITLE_KEY,
@@ -36,7 +36,7 @@ from taxrec.recommender import (
     recommend,
     score_pool,
 )
-from taxrec.taxonomy import truncate_features
+from taxrec.taxonomy import taxonomy_to_prompt_text, truncate_features
 
 from conftest import ScriptedProvider
 
@@ -277,9 +277,121 @@ class TestHistoryToPromptText:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
-        # One memo per item, holding every feature list rendered.
-        for categorized in hc:
-            assert len(vars(categorized)["_feature_texts"]) == 4
+
+
+# A line-table taxonomy: "modern" is in no feature's list, so a pair with it
+# is an out-of-list value; "mood" is no feature at all.
+_LINE_TAXONOMY = Taxonomy(
+    domain_label="book",
+    features=tuple(Feature(name, tuple(_HISTORY_VALUES[:4])) for name in _HISTORY_KEYS[:4]),
+)
+_LINE_REPLY = "genre: fiction"
+
+
+def line_table_pool(items_pairs, titles) -> CategorizedPool:
+    """A pool of the given items plus an uncategorized target, ``t``."""
+    items = [Item(id=f"h{index}", title=title) for index, title in enumerate(titles)]
+    entries = {
+        item.id: CategorizedItem(item, frozenset(FeaturePair(key, value) for key, value in pairs))
+        for item, pairs in zip(items, items_pairs)
+    }
+    pool = ItemPool(domain_label="book", items=(*items, Item(id="t", title="Target")))
+    return CategorizedPool(taxonomy_ref=("lines", 4), entries=entries, coverage=1.0, pool=pool)
+
+
+def expected_prompt(sequence, cpool, cfg: RecommendConfig) -> str | None:
+    """The prompt ``recommend`` must send, with its history from the per-item
+    reference; None when the history shows nothing, which no prompt takes."""
+    truncated = truncate_features(_LINE_TAXONOMY, cfg.taxonomy_feature_count)
+    hc = categorize_history(sequence.history, cpool)
+    history_text = history_to_prompt_text(hc, cfg, truncated)
+    assert history_text == grouped_per_request(hc, cfg, truncated)
+    if not history_text:
+        return None
+    return render_recommendation_prompt("book", taxonomy_to_prompt_text(truncated), history_text, cfg.k)
+
+
+class TestHistoryLineTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.sampled_from(["Emma", "1984", ""]),
+                st.sets(st.tuples(st.sampled_from(_HISTORY_KEYS), st.sampled_from(_HISTORY_VALUES))),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=10),
+        settings_order=st.permutations([(n, titled) for n in range(1, 5) for titled in (True, False)]),
+    )
+    def test_recommend_history_equals_per_item_rendering(self, items, picks, settings_order):
+        # Pairs may be out of list ("modern"), outside the taxonomy ("mood")
+        # or all beyond a truncation, titles may be empty, and a padded
+        # history repeats items. Each setting runs twice over one pool, so
+        # the second run reads the lines the first one stored.
+        cpool = line_table_pool([pairs for _, pairs in items], [title for title, _ in items])
+        history = tuple(cpool.pool.items[pick % len(items)] for pick in picks)
+        sequence = InteractionSequence(user_id="u", history=history, target=cpool.pool.items[-1])
+        provider = ScriptedProvider([_LINE_REPLY])
+        for n_features, titled in [*settings_order, *settings_order]:
+            cfg = RecommendConfig(taxonomy_feature_count=n_features, history_with_titles=titled)
+            expected = expected_prompt(sequence, cpool, cfg)
+            if expected is None:
+                with pytest.raises(StageError, match="render_prompt"):
+                    recommend(provider, sequence, cpool, _LINE_TAXONOMY, cfg)
+            else:
+                assert recommend(provider, sequence, cpool, _LINE_TAXONOMY, cfg).prompt_text == expected
+
+    def test_threads_sharing_one_pool_send_identical_prompts(self):
+        rng = random.Random(11)
+        items_pairs = [
+            {(rng.choice(_HISTORY_KEYS), rng.choice(_HISTORY_VALUES)) for _ in range(rng.randint(0, 5))}
+            for _ in range(40)
+        ]
+        cpool = line_table_pool(items_pairs, [f"Title {index}" if index % 7 else "" for index in range(40)])
+        sequences = [
+            InteractionSequence(
+                user_id=f"u{index}",
+                history=tuple(rng.choice(cpool.pool.items[:-1]) for _ in range(10)),
+                target=cpool.pool.items[-1],
+            )
+            for index in range(12)
+        ]
+        cfgs = [
+            RecommendConfig(taxonomy_feature_count=n, history_with_titles=titled)
+            for n in range(1, 5) for titled in (True, False)
+        ]
+        # The reference renders each item per request, on a twin pool.
+        expected = {
+            (index, cfg): expected_prompt(sequence, replace(cpool), cfg)
+            for index, sequence in enumerate(sequences) for cfg in cfgs
+        }
+        barrier = threading.Barrier(8)
+        mismatches = []
+
+        def serve(worker):
+            provider = ScriptedProvider([_LINE_REPLY])
+            barrier.wait(timeout=10)
+            for round_ in range(24):
+                cfg = cfgs[(worker + round_) % len(cfgs)]
+                index = (worker * 5 + round_) % len(sequences)
+                result = recommend(provider, sequences[index], cpool, _LINE_TAXONOMY, cfg)
+                if result.prompt_text != expected[index, cfg]:
+                    mismatches.append((worker, round_))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
 
 class TestParseFeatureOutput:
@@ -595,6 +707,68 @@ class TestTopKCut:
                 assert {e for e in every_item if e[1] >= kth_largest} <= set(kept)
                 ranked = rank_scores(kept, k)
                 assert list(ranked.entries) == oracle_top_k(f, cpool, include_titles, k)
+
+
+def pool_scoring(counts: list[int]) -> tuple[CategorizedPool, FeatureSet]:
+    """A pool whose item at position p scores ``counts[p]`` against the returned feature set."""
+    items = tuple(Item(id=f"i{position:04d}", title="") for position in range(len(counts)))
+    entries = {
+        item.id: CategorizedItem(item, frozenset(FeaturePair("f", f"v{j}") for j in range(count)))
+        for item, count in zip(items, counts)
+    }
+    pairs = frozenset(FeaturePair("f", f"v{j}") for j in range(max(counts)))
+    cpool = CategorizedPool(
+        taxonomy_ref=("counts", 1), entries=entries, coverage=1.0, pool=ItemPool("book", items)
+    )
+    return cpool, FeatureSet(pairs=pairs, raw_text="")
+
+
+class TestHistogramCut:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 4), min_size=1, max_size=300)
+        | st.integers(1, 300).map(lambda n: [0] * n)
+        | st.integers(1, 300).map(lambda n: [3] * n),
+        extra_k=st.integers(1, 310),
+    )
+    def test_cut_equals_the_partition_cut(self, counts, extra_k):
+        # Wide ties, all-zero counts, k = n - 1 and k >= n among them.
+        cpool, f = pool_scoring(counts)
+        n = len(counts)
+        ids = [item.id for item in cpool.pool.items]
+        for k in {1, max(n - 1, 1), n, n + 1, extra_k}:
+            cut = np.partition(counts, n - k)[n - k] if k < n else 0
+            expected = [(ids[p], float(count)) for p, count in enumerate(counts) if count >= cut]
+            assert score_pool(f, cpool, k=k) == expected
+
+
+class TestStage:
+    def test_exception_wrapped_with_cause(self):
+        cause = ValueError("bad")
+        with pytest.raises(StageError, match="^outer: bad$") as raised:
+            with stage("outer"):
+                raise cause
+        assert raised.value.stage == "outer" and raised.value.cause is cause
+        assert raised.value.__cause__ is cause
+
+    def test_inner_stage_error_passes_unwrapped(self):
+        with pytest.raises(StageError) as raised:
+            with stage("outer"):
+                with stage("inner"):
+                    raise KeyError("x")
+        assert raised.value.stage == "inner"
+        assert isinstance(raised.value.__cause__, KeyError)
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit, GeneratorExit])
+    def test_base_exceptions_pass_unwrapped(self, interrupt):
+        with pytest.raises(interrupt):
+            with stage("outer"):
+                raise interrupt()
+
+    def test_clean_block_returns_normally(self):
+        with stage("outer") as entered:
+            result = 1
+        assert entered is None and result == 1
 
 
 class TestMatchFreeform:
