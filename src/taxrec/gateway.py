@@ -16,6 +16,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, TypeVar
 
@@ -303,6 +304,21 @@ def _taxonomy_table(taxonomy_text: str) -> tuple[tuple[str, tuple[str, ...]], ..
     return tuple((name, tuple(values)) for name, values in line_entries(taxonomy_text))
 
 
+@lru_cache(maxsize=64)
+def _segment_table(taxonomy_text: str) -> tuple[dict[str, int], tuple[str, ...], tuple] | None:
+    """A slot per taxonomy value, in order: its segment forms ``name: value`` and `` name: value``,
+    its reply line, and each feature's ``(start, stop)`` slots. None if a feature or value repeats.
+    Names and values are stripped and a name holds no ":", so a form parses back to its own pair.
+    """
+    table = _taxonomy_table(taxonomy_text)
+    replies = tuple(f"{name}: {value}" for name, values in table for value in values)
+    if len(set(replies)) < len(replies) or len({name for name, _ in table}) < len(table):
+        return None
+    forms = {form: slot for slot, reply in enumerate(replies) for form in (reply, f" {reply}")}
+    bounds = list(accumulate([len(values) for _, values in table], initial=0))
+    return forms, replies, tuple(zip(bounds, bounds[1:]))
+
+
 def _stable_int(*parts: object) -> int:
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -326,9 +342,10 @@ class MockProvider:
 
     Anything else raises :class:`ContentError`. Identical prompt text maps
     to identical response text; the instance is stateless. Each prompt is
-    split into lines once. The one memo is the parsed taxonomy table, kept
-    per taxonomy text in a bounded module-wide ``lru_cache``; replies are
-    byte-for-byte those of parsing every prompt afresh.
+    split into lines once. The memos are two bounded ``lru_cache`` tables per
+    taxonomy text: the parsed taxonomy, and its canonical ``name: value``
+    segments, through which a history made only of them is tallied. Replies
+    are byte-for-byte those of parsing every prompt afresh.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -370,16 +387,30 @@ class MockProvider:
 
     def _recommendation_response(self, lines: list[str]) -> str:
         taxonomy_text = _section_text(_section(lines, TAXONOMY_HEADER, HISTORY_HEADER))
-        history = _section(lines, HISTORY_HEADER)
-        if not taxonomy_text or not _section_text(history):
+        history = list(map(str.strip, _section(lines, HISTORY_HEADER)))
+        if not taxonomy_text or not any(history):
             raise ContentError("recommendation prompt missing taxonomy or history section")
         # A line votes with its ";" segments after the title; each distinct segment is read once.
         segments: list[str] = []
-        for line in map(str.strip, history):
+        for line in history:
             title, separator, features = line.partition(TITLE_SEPARATOR)
             segments += (features if separator else title).split(";")
+        tally = Counter(segments)
+        table = _segment_table(taxonomy_text)
+        if table is not None and tally.keys() <= table[0].keys():
+            # Only canonical forms: each voted feature replies with its first slot of the top count.
+            forms, slot_replies, bounds = table
+            slots = [0] * len(slot_replies)
+            for segment, count in tally.items():
+                slots[forms[segment]] += count
+            replies = []
+            for start, stop in bounds:
+                top = max(slots[start:stop])
+                if top:
+                    replies.append(slot_replies[slots.index(top, start, stop)])
+            return "\n".join(replies)
         votes: defaultdict[str, dict[str, int]] = defaultdict(dict)
-        for segment, count in Counter(segments).items():
+        for segment, count in tally.items():
             key, _, value = segment.partition(":")
             key, value = key.strip(), value.strip()
             if key and value:
@@ -398,9 +429,9 @@ class MockProvider:
             raise ContentError("recommendation prompt carried an unreadable history")
         return "\n".join(replies)
 
-    def _direct_response(self, prompt: str, lines: list[str]) -> str:
+    def _direct_response(self, lowered: bytes, lines: list[str]) -> str:
         history_text = _section_text(_section(lines, HISTORY_HEADER))
-        match = re.search(r"recommend (\d+)", prompt)
+        match = re.search(rb"recommend (\d+)", lowered)
         k = int(match.group(1)) if match else 10
         digest = hashlib.sha256(f"{self.seed}|{history_text}".encode("utf-8")).hexdigest()[:8]
         return "\n".join(f"Uncharted Shelf Vol. {i + 1} [{digest}]" for i in range(k))
@@ -423,7 +454,7 @@ class MockProvider:
             if TAXONOMY_HEADER in lines:
                 text = self._recommendation_response(lines)
             else:
-                text = self._direct_response(prompt, lines)
+                text = self._direct_response(lowered, lines)
         else:
             raise ContentError("mock provider does not recognize this prompt")
         usage = (len(prompt.split()), len(text.split()))

@@ -10,6 +10,7 @@ import math
 import re
 import threading
 from collections import Counter
+from itertools import islice
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -55,13 +56,16 @@ class TitleTable(Mapping[str, str]):
     runs that the fewest titles share; a non-empty title with no word run is
     always checked. At a word-bounded occurrence every word run of the title
     is a whole word run of the reply, so a reply checks only the titles
-    filed under its own runs, and every other title scores 0.0.
+    filed under its own runs, and every other title scores 0.0. The
+    positions are also kept in ascending-id order, sorted once.
     """
 
-    __slots__ = ("_titles", "normalized", "tokens", "_by_run", "_always")
+    __slots__ = ("_titles", "_ids", "_id_order", "normalized", "tokens", "_by_run", "_always")
 
     def __init__(self, titles: Mapping[str, str]) -> None:
         self._titles = dict(titles)
+        self._ids = tuple(self._titles)
+        self._id_order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
         self.normalized = tuple(map(normalize_text, self._titles.values()))
         self.tokens = tuple(tuple(title.split()) for title in self.normalized)
         runs = [_WORD_RUN.findall(title) for title in self.normalized]
@@ -75,18 +79,17 @@ class TitleTable(Mapping[str, str]):
             elif title:
                 self._always.append(position)
 
-    def exact_title_scores(self, text: str) -> list[float]:
-        """:func:`exact_title_score` of every title against ``text``, in pool order."""
+    def exact_title_scores(self, text: str, k: int | None = None) -> list[tuple[str, float]]:
+        """(id, score) per title in pool order, or cut at ``k`` (see :func:`score_titles_against_text`)."""
         haystack = normalize_text(text)
         score = _exact_title_against(haystack)
-        scores = [0.0] * len(self.normalized)
         filed = self._by_run
-        for positions in [self._always] + [
-            filed[run] for run in set(_WORD_RUN.findall(haystack)) if run in filed
-        ]:
-            for position in positions:
-                scores[position] = score(self.normalized[position])
-        return scores
+        runs = [filed[run] for run in set(_WORD_RUN.findall(haystack)) if run in filed]
+        hits = {at for positions in [self._always, *runs] for at in positions if score(self.normalized[at])}
+        if k is None:
+            return [(item_id, 1.0 if at in hits else 0.0) for at, item_id in enumerate(self._ids)]
+        misses = islice((at for at in self._id_order if at not in hits), k)
+        return [(self._ids[at], 1.0) for at in sorted(hits)] + [(self._ids[at], 0.0) for at in misses]
 
     def __getitem__(self, item_id: str) -> str:
         return self._titles[item_id]
@@ -303,6 +306,8 @@ def score_titles_against_text(
     text: str,
     method: str,
     embedder: Embedder | None = None,
+    *,
+    k: int | None = None,
 ) -> list[tuple[str, float]]:
     """Score every (item id, title) against free text with the given method.
 
@@ -310,6 +315,10 @@ def score_titles_against_text(
     happen downstream. The string matchers read the titles prepared by a
     :class:`TitleTable` (such as ``ItemPool.titles``); any other mapping is
     wrapped in one for this call.
+
+    With ``k``, ``exact_title`` keeps the titles scoring 1.0 and the ``k`` lowest-id ones scoring
+    0.0. Its scores are 0.0 or 1.0 and ties go to the lower id, so :func:`~taxrec.core.rank_scores`
+    at ``k`` ranks that list as it would the whole one. The other methods ignore ``k``.
     """
     if method not in FREEFORM_METHODS:
         raise ValueError(f"unknown free-text matcher {method!r}; expected one of {FREEFORM_METHODS}")
@@ -327,5 +336,5 @@ def score_titles_against_text(
     elif method == "rouge":
         scores = map(_rouge_against(text), titles.tokens)
     else:
-        scores = titles.exact_title_scores(text)
+        return titles.exact_title_scores(text, k)
     return list(zip(titles, scores))

@@ -334,7 +334,7 @@ def recommend(
             )
         else:
             scores = score_titles_against_text(
-                pool.pool.titles, feature_set.raw_text, cfg.matcher, embedder
+                pool.pool.titles, feature_set.raw_text, cfg.matcher, embedder, k=cfg.k
             )
     ranked = rank_scores(scores, cfg.k)
     return Recommendation(
@@ -362,7 +362,7 @@ def recommend_direct(
     with stage("complete"):
         response = provider.complete(gateway.LlmRequest(prompt=prompt))
     with stage("match"):
-        scores = score_titles_against_text(pool.titles, response.text, cfg.matcher, embedder)
+        scores = score_titles_against_text(pool.titles, response.text, cfg.matcher, embedder, k=cfg.k)
     ranked = rank_scores(scores, cfg.k)
     return Recommendation(
         ranked=ranked,

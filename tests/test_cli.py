@@ -207,6 +207,19 @@ format: series
 """
 
 
+# `taxrec recommend --no-taxonomy --k 5` over a MovieLens-style directory with
+# ids 1-12. The mock's invented titles match no film, so every score is 0 and
+# the rows are the five lowest ids as strings.
+RECOMMEND_NO_TAXONOMY_K5 = """\
+rank  id              score  title
+   1  1               0.000  Film 1 (1995)
+   2  10              0.000  Film 10 (1995)
+   3  11              0.000  Film 11 (1995)
+   4  12              0.000  Film 12 (1995)
+   5  2               0.000  Film 2 (1995)
+"""
+
+
 class TestRecommendCommand:
     def _prepare(self, workdir):
         run_cli(["taxonomy", "--domain", "book", "--provider", "mock"])
@@ -270,6 +283,23 @@ class TestRecommendCommand:
         assert code == 0
         expected = "".join(RECOMMEND_K40.splitlines(keepends=True)[:11]) + RECOMMEND_K10_VERBOSE_TAIL
         assert capsys.readouterr().out == expected
+
+    def test_no_taxonomy_zero_scores_fill_by_ascending_id(self, workdir, capsys):
+        data = workdir / "movielens"
+        data.mkdir()
+        (data / "u.item").write_text(
+            "".join(f"{n}|Film {n} (1995)|01-Jan-1995||http://x|0|1|0\n" for n in range(1, 13)),
+            encoding="latin-1",
+        )
+        (data / "u.data").write_text(
+            "".join(f"{u}\t{(u + s) % 12 + 1}\t{s + 1}\t{1000 + 10 * u + s}\n" for u in range(1, 4) for s in range(4)),
+            encoding="latin-1",
+        )
+        capsys.readouterr()
+        code = run_cli(["recommend", "--provider", "mock", "--dataset", "movielens", "--data-dir", str(data),
+                        "--cache-dir", "cache", "--ids", "3,4", "--no-taxonomy", "--k", "5"])
+        assert code == 0
+        assert capsys.readouterr().out == RECOMMEND_NO_TAXONOMY_K5
 
     def test_ids_file(self, workdir, capsys):
         self._prepare(workdir)

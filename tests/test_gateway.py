@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 import requests
 from hypothesis import example, given, settings, strategies as st
 
+from taxrec._textparse import line_entries
 from taxrec.errors import AuthError, ContentError, NetworkError
 from taxrec.gateway import (
     HttpChatProvider,
@@ -18,6 +19,7 @@ from taxrec.gateway import (
     render_direct_recommendation_prompt,
     render_recommendation_prompt,
     render_taxonomy_prompt,
+    _segment_table,
 )
 from taxrec.matchers import HttpEmbedder
 
@@ -451,6 +453,13 @@ class TestMockProviderRecommendation:
                 expected = min(winners, key=features[name].index)
                 assert output[name] == expected
 
+    def test_direct_prompt_reads_k_where_dispatch_reads_the_phrase(self, mock7):
+        prompt = render_direct_recommendation_prompt("book", "Emma\n1984", 3)
+        assert "please recommend 3" in prompt
+        shouted = prompt.replace("please recommend", "Please Recommend")
+        assert mock7.complete(LlmRequest(prompt=shouted)).text == mock7.complete(LlmRequest(prompt=prompt)).text
+        assert len(mock7.complete(LlmRequest(prompt=shouted)).text.splitlines()) == 3
+
     def test_direct_prompt_yields_out_of_pool_titles(self, mock7):
         prompt = render_direct_recommendation_prompt("book", "Emma\n1984", 4)
         text = mock7.complete(LlmRequest(prompt=prompt)).text
@@ -588,6 +597,117 @@ class TestMockProviderGolden:
         with pytest.raises(ContentError) as raised:
             mock7.complete(LlmRequest(prompt=prompt))
         assert str(raised.value) == message
+
+
+def _reference_recommendation(prompt: str) -> tuple[str, tuple[int, int]] | str:
+    """The mock's reply to a recommendation prompt by the plain vote tally:
+    (text, usage), or the ContentError message. Every segment is parsed."""
+    lines = prompt.splitlines()
+
+    def section(header: str, stop: str | None = None) -> list[str]:
+        if header not in lines:
+            return []
+        start = lines.index(header) + 1
+        return lines[start : lines.index(stop, start) if stop in lines[start:] else len(lines)]
+
+    taxonomy_text = "\n".join(section("Taxonomy:", "History:")).strip()
+    history = section("History:")
+    if not taxonomy_text or not "\n".join(history).strip():
+        return "recommendation prompt missing taxonomy or history section"
+    segments: list[str] = []
+    for line in map(str.strip, history):
+        title, separator, features = line.partition(" — ")
+        segments += (features if separator else title).split(";")
+    votes: defaultdict[str, dict[str, int]] = defaultdict(dict)
+    for segment, count in Counter(segments).items():
+        key, _, value = segment.partition(":")
+        key, value = key.strip(), value.strip()
+        if key and value:
+            votes[key][value] = votes[key].get(value, 0) + count
+    replies = []
+    for name, values in line_entries(taxonomy_text):
+        counts = votes.get(name)
+        if not counts:
+            continue
+        best = max(counts.values())
+        tied = [value for value, count in counts.items() if count == best]
+        choice = tied[0] if len(tied) == 1 else next((value for value in values if value in tied), min(tied))
+        replies.append(f"{name}: {choice}")
+    if not replies:
+        return "recommendation prompt carried an unreadable history"
+    text = "\n".join(replies)
+    return text, (len(prompt.split()), len(text.split()))
+
+
+_TALLY_NAMES = ("genre", "theme", "tone")
+_TALLY_VALUES = ("a", "b", "fiction")
+
+
+@st.composite
+def _tally_prompts(draw) -> str:
+    """Recommendation prompts over small taxonomies that may repeat a
+    feature or a value. Half of them hold only canonical ``name: value``
+    segments of the taxonomy; the rest mix in other spacing, out-of-list
+    and multi-valued values, keys outside the taxonomy, empty segments,
+    titles with two separators and blank lines."""
+    values = st.lists(st.sampled_from(_TALLY_VALUES), min_size=1, max_size=3, unique=True)
+    names = draw(st.lists(st.sampled_from(_TALLY_NAMES), min_size=1, max_size=3, unique=True))
+    taxonomy = [(name, draw(values)) for name in names]
+    repeat = draw(st.sampled_from([None, None, None, "value", "feature"]))
+    if repeat == "value":
+        taxonomy[0] = (names[0], taxonomy[0][1] + taxonomy[0][1][-1:])
+    elif repeat == "feature":
+        taxonomy.append((draw(st.sampled_from(names)), draw(values)))
+    canonical = st.sampled_from([f"{name}: {value}" for name, values in taxonomy for value in values])
+    if draw(st.booleans()):
+        segment, separator = canonical, st.just("; ")
+        title, blank = st.sampled_from(["", "Emma — "]), st.nothing()
+    else:
+        key = st.sampled_from(_TALLY_NAMES + ("plot",))
+        value = st.sampled_from(_TALLY_VALUES + ("y", "noir"))
+        segment = st.one_of(
+            canonical,
+            st.builds("{}: {}".format, key, value),
+            st.builds(lambda form, k, v, w: form.format(k, v, w), st.sampled_from(
+                ["{}:{}", "{} : {}", " {}:{} ", "{}: {}, {}"]
+            ), key, value, value),
+            st.sampled_from(["", " ", ":", "no features"]),
+        )
+        separator = st.sampled_from(["; ", ";", " ;"])
+        title = st.sampled_from(["", "Emma — ", "War — Peace — ", " — ", "Dune —"])
+        blank = st.sampled_from(["", "   ", "\t"])
+    line = st.builds(lambda t, parts, sep: t + sep.join(parts), title, st.lists(segment, min_size=1, max_size=4), separator)
+    history = draw(st.lists(st.one_of(line, blank), min_size=1, max_size=6).map("\n".join).filter(bool))
+    taxonomy_text = "\n".join(f"{name}: {', '.join(values)}" for name, values in taxonomy)
+    return render_recommendation_prompt("book", taxonomy_text, history, 5)
+
+
+class TestMockTally:
+    """The canonical-segment table gives the plain vote tally's reply."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(prompt=_tally_prompts())
+    @example(prompt=render_recommendation_prompt("book", "genre: a, a\ntheme: x", "genre: a\ntheme:y", 5))
+    @example(prompt=render_recommendation_prompt("book", "genre: a\ngenre: b", "genre: a; genre: b\ngenre: b", 5))
+    @example(prompt=_golden_recommendation("A — genre: fantasy; theme: love", "B — genre: mystery; theme: power"))
+    def test_reply_equals_reference_tally(self, prompt):
+        try:
+            response = MockProvider(7).complete(LlmRequest(prompt=prompt))
+        except ContentError as exc:
+            reply: object = str(exc)
+        else:
+            reply = (response.text, response.usage)
+        assert reply == _reference_recommendation(prompt)
+
+    @pytest.mark.parametrize("taxonomy_text", ["genre: a, a", "genre: a\ngenre: b", "genre: a\ntheme: x\ngenre: a"])
+    def test_no_table_for_a_repeated_feature_or_value(self, taxonomy_text):
+        assert _segment_table(taxonomy_text) is None
+
+    def test_table_slots_in_taxonomy_order(self):
+        forms, replies, features = _segment_table("genre: a, b\ntheme: x")
+        assert replies == ("genre: a", "genre: b", "theme: x")
+        assert features == ((0, 2), (2, 3))
+        assert forms == {"genre: a": 0, " genre: a": 0, "genre: b": 1, " genre: b": 1, "theme: x": 2, " theme: x": 2}
 
 
 class TestScriptedProvider:

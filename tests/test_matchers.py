@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from taxrec import matchers
 from taxrec.catalog import ItemPool
-from taxrec.core import Item, normalize_text
+from taxrec.core import Item, normalize_text, rank_scores
 from taxrec.errors import TaxRecError
 from taxrec.matchers import (
     HashEmbedder,
+    TitleTable,
     bleu_score,
     cosine_similarity,
     exact_title_score,
@@ -175,6 +176,45 @@ class TestPoolTitleTable:
         for method, score in per_title.items():
             expected = [(item.id, score(item.title, text)) for item in pool.items]
             assert score_titles_against_text(pool.titles, text, method) == expected
+
+
+# Titles that repeat, are empty, or occur word-bounded inside another title.
+_TITLES = st.one_of(
+    st.sampled_from(["War", "War and Peace", "Peace", "Emma", "", "  ", "X-Men", "Men"]),
+    _phrases(max_words=3),
+)
+
+
+class TestExactTitleTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        titles=st.lists(_TITLES, max_size=14),
+        order=st.randoms(use_true_random=False),
+        text=_phrases(max_words=12),
+        quoted=st.lists(st.integers(min_value=0, max_value=13), max_size=4),
+    )
+    @example(titles=["War and Peace", "War", "Peace", "", "War"] * 3, order=None, text="war, then peace", quoted=[0])
+    def test_narrowed_list_ranks_as_the_whole_list(self, titles, order, text, quoted):
+        # Ids are numbers, so "9" comes before "10" in pool order but after it by id.
+        ids = [str(index) for index in range(len(titles))]
+        if order is not None:
+            order.shuffle(ids)
+        text = " ".join([text] + [titles[i] for i in quoted if i < len(titles)])
+        table = TitleTable(dict(zip(ids, titles)))
+        full = score_titles_against_text(table, text, "exact_title")
+        positives = sum(1 for _, score in full if score)
+        for k in range(1, len(titles) + 3):
+            narrowed = score_titles_against_text(table, text, "exact_title", k=k)
+            assert rank_scores(narrowed, k) == rank_scores(full, k)
+            assert len(narrowed) <= positives + k
+            assert set(narrowed) <= set(full)
+
+    def test_other_matchers_ignore_k(self):
+        titles = {"2": "War and Peace", "10": "Emma", "1": "Peace"}
+        for method in ("bleu", "rouge"):
+            whole = score_titles_against_text(titles, "war and peace", method)
+            assert score_titles_against_text(titles, "war and peace", method, k=1) == whole
+            assert len(whole) == 3
 
 
 class OneHotEmbedder:
